@@ -51,12 +51,9 @@ from .integrator import (
     DEFAULT_X0,
     BatchResult,
     IntegratorConfig,
-    SystemState,
     Trajectory,
     batch_bit_residences,
-    batch_final_states,
     integrate,
-    step,
 )
 from .params import CANONICAL, CircuitParams, CnnWeights, derive_weights
 from .seeding import derive_seed
@@ -99,12 +96,10 @@ __all__ = [
     "PhasePortrait",
     "PLogicEstimate",
     "PLogicReport",
-    "SystemState",
     "Trajectory",
     "TrialOutcome",
     "XNOR_BAND_HALF_WIDTH",
     "batch_bit_residences",
-    "batch_final_states",
     "calibrate_xnor_band",
     "combine",
     "decode_bit",
@@ -127,7 +122,6 @@ __all__ = [
     "saturation",
     "score_residences",
     "score_trial",
-    "step",
     "sweep",
     "wilson_interval",
 ]

@@ -24,31 +24,26 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .decode import DecodeSettings, gate_spec
-from .errors import (
-    ConfigError,
-    DivergedError,
-    ForbiddenInputError,
-    MlcLogicError,
-)
+from .decode import DEFAULT_SETTINGS, DecodeSettings, gate_spec, score_trial
+from .errors import ConfigError, DivergedError, MlcLogicError
 from .experiments import (
     DESK_BITS_PER_RUN,
     DESK_N_RUNS,
     DESK_N_SETS,
-    LATCH_DELTA,
-    estimate_plogic,
     export_phase_portrait,
     gate_params,
+    program_delta,
     run_latch_experiment,
     sweep,
 )
-from .integrator import IntegratorConfig, integrate
+from .integrator import DEFAULT_X0, IntegratorConfig, integrate
 from .seeding import derive_seed
 from .signals import (
     COMBINER_ARITY,
     DEFAULT_BIT_DURATION,
     DEFAULT_TRANSIENT,
     LogicProgram,
+    random_program,
 )
 
 EXIT_OK = 0
@@ -56,23 +51,26 @@ EXIT_LOGIC_FAILURE = 1
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 
+_INTEGRATOR_DEFAULTS = IntegratorConfig()
+
 # Flat config-file keys shared by all subcommands. Values in the file
-# are overridden by flags given on the command line.
+# are overridden by flags given on the command line. None means the
+# gate's operating point decides; the snapshot records the result.
 _COMMON_KEYS = {
     "out": ".",
     "seed": 0,
     "bias": None,
     "forcing": None,
-    "noise": 0.0,
+    "noise": None,
     "delta": None,
     "bit_duration": DEFAULT_BIT_DURATION,
     "transient": DEFAULT_TRANSIENT,
-    "dt": 0.01,
-    "stride": 1,
-    "settle_fraction": 0.5,
-    "agreement_threshold": 0.9,
-    "divergence_bound": 1e3,
-    "n_bits": 20,
+    "dt": _INTEGRATOR_DEFAULTS.dt,
+    "stride": _INTEGRATOR_DEFAULTS.stride,
+    "settle_fraction": DEFAULT_SETTINGS.settle_fraction,
+    "agreement_threshold": DEFAULT_SETTINGS.agreement_threshold,
+    "divergence_bound": _INTEGRATOR_DEFAULTS.divergence_bound,
+    "n_bits": DESK_BITS_PER_RUN,
     "bits": None,
 }
 
@@ -202,25 +200,20 @@ def _parse_bits(text: str, arity: int) -> tuple:
     )
 
 
-def _build_program(settings: dict, combiner: str, delta: float, seed: int):
-    from .signals import random_program
-
-    if settings.get("bits"):
-        channels = _parse_bits(settings["bits"], COMBINER_ARITY[combiner])
-        return LogicProgram(
-            channels=channels,
-            combiner=combiner,
-            delta=delta,
-            bit_duration=settings["bit_duration"],
-            transient=settings["transient"],
-        )
-    return random_program(
-        settings["n_bits"],
+def _build_program(settings: dict, combiner: str) -> LogicProgram:
+    program_kw = dict(
         combiner=combiner,
-        seed=derive_seed(seed, "program", 0),
-        delta=delta,
+        delta=settings["delta"],
         bit_duration=settings["bit_duration"],
         transient=settings["transient"],
+    )
+    if settings.get("bits"):
+        channels = _parse_bits(settings["bits"], COMBINER_ARITY[combiner])
+        return LogicProgram(channels=channels, **program_kw)
+    return random_program(
+        settings["n_bits"],
+        seed=derive_seed(settings["seed"], "program", 0),
+        **program_kw,
     )
 
 
@@ -240,22 +233,22 @@ def _decode_settings(settings: dict) -> DecodeSettings:
     )
 
 
-def _write_snapshot(out_dir: Path, command: str, settings: dict) -> None:
-    snapshot = dict(settings)
-    snapshot["command"] = command
-    snapshot["version"] = __version__
-    with open(out_dir / "config.json", "w") as fh:
-        json.dump(snapshot, fh, indent=2, sort_keys=True)
+def _write_json(path: Path, obj: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_snapshot(out_dir: Path, command: str, settings: dict) -> None:
+    snapshot = dict(settings, command=command, version=__version__)
+    _write_json(out_dir / "config.json", snapshot)
 
 
 def _resolve_params(settings: dict, spec):
     """Build operating params and write the resolved values back so the
     config snapshot records what actually ran."""
     if settings["delta"] is None:
-        settings["delta"] = (
-            LATCH_DELTA if spec.combiner == "DIFF2" else 0.2
-        )
+        settings["delta"] = program_delta(spec)
     params = gate_params(
         spec,
         bias=settings["bias"],
@@ -269,18 +262,20 @@ def _resolve_params(settings: dict, spec):
     return params
 
 
-def _run_simulate(args) -> int:
+def _setup(args, gate=None):
+    """Resolve what a single-program subcommand runs: settings, gate,
+    operating point, program, integrator config and output directory."""
     settings = _effective(args)
-    spec = gate_spec(settings["gate"])
+    spec = gate_spec(gate or settings["gate"])
     params = _resolve_params(settings, spec)
-    program = _build_program(
-        settings, spec.combiner, settings["delta"], settings["seed"]
-    )
+    program = _build_program(settings, spec.combiner)
     config = _integrator_config(settings)
-    out_dir = _ensure_out(settings)
-    traj = integrate(
-        (0.1, 0.1, 0.0), params, program, program.end_time, config
-    )
+    return settings, spec, params, program, config, _ensure_out(settings)
+
+
+def _run_simulate(args) -> int:
+    settings, _, params, program, config, out_dir = _setup(args)
+    traj = integrate(DEFAULT_X0, params, program, program.end_time, config)
     traj.write_csv(out_dir / "trajectory.csv")
     program.write_csv(out_dir / "program.csv")
     _write_snapshot(out_dir, "simulate", settings)
@@ -288,24 +283,11 @@ def _run_simulate(args) -> int:
 
 
 def _run_gate(args) -> int:
-    from .decode import score_trial
-
-    settings = _effective(args)
-    spec = gate_spec(settings["gate"])
-    params = _resolve_params(settings, spec)
-    program = _build_program(
-        settings, spec.combiner, settings["delta"], settings["seed"]
-    )
-    config = _integrator_config(settings)
-    out_dir = _ensure_out(settings)
-    traj = integrate(
-        (0.1, 0.1, 0.0), params, program, program.end_time, config
-    )
+    settings, spec, params, program, config, out_dir = _setup(args)
+    traj = integrate(DEFAULT_X0, params, program, program.end_time, config)
     outcome = score_trial(traj, program, spec, _decode_settings(settings))
     program.write_csv(out_dir / "program.csv")
-    with open(out_dir / "outcome.json", "w") as fh:
-        json.dump(outcome.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "outcome.json", outcome.to_dict())
     _write_snapshot(out_dir, "gate", settings)
     return EXIT_OK if outcome.success else EXIT_LOGIC_FAILURE
 
@@ -343,14 +325,7 @@ def _run_sweep(args) -> int:
 
 
 def _run_phase(args) -> int:
-    settings = _effective(args)
-    spec = gate_spec(settings["gate"])
-    params = _resolve_params(settings, spec)
-    program = _build_program(
-        settings, spec.combiner, settings["delta"], settings["seed"]
-    )
-    config = _integrator_config(settings)
-    out_dir = _ensure_out(settings)
+    settings, _, params, program, config, out_dir = _setup(args)
     portrait = export_phase_portrait(program, params, config)
     portrait.write_csv(out_dir / "phase.csv")
     program.write_csv(out_dir / "program.csv")
@@ -359,21 +334,12 @@ def _run_phase(args) -> int:
 
 
 def _run_latch(args) -> int:
-    settings = _effective(args)
-    spec = gate_spec("SR_HIGH")
-    params = _resolve_params(settings, spec)
-    program = _build_program(
-        settings, "DIFF2", settings["delta"], settings["seed"]
-    )
-    config = _integrator_config(settings)
-    out_dir = _ensure_out(settings)
+    settings, _, params, program, config, out_dir = _setup(args, "SR_HIGH")
     result = run_latch_experiment(
         program, params, config, _decode_settings(settings)
     )
     program.write_csv(out_dir / "program.csv")
-    with open(out_dir / "latch.json", "w") as fh:
-        json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "latch.json", result.to_dict())
     _write_snapshot(out_dir, "latch", settings)
     return EXIT_OK if result.success else EXIT_LOGIC_FAILURE
 
@@ -404,10 +370,7 @@ def main(argv=None) -> int:
     except DivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (ConfigError, ForbiddenInputError, MlcLogicError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (MlcLogicError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -27,6 +27,7 @@ from .errors import (
     EmptySegmentError,
     ForbiddenInputError,
 )
+from .signals import bit_grid
 
 INDETERMINATE = None
 
@@ -378,8 +379,9 @@ def score_trial(
 ) -> TrialOutcome:
     """Score a sampled trajectory against a gate's oracle.
 
-    The trajectory must cover the whole program and be sampled with
-    stride 1 so bit windows can be cut on the step grid exactly.
+    The trajectory must start at step 0, cover the whole program and
+    be sampled with stride 1, so sample j is the state after step j and
+    bit windows are cut on the step grid exactly.
     """
     if program.n_channels != gate.n_inputs:
         raise ArityMismatchError(
@@ -388,23 +390,16 @@ def score_trial(
         )
     if traj.stride != 1:
         raise ConfigError("score_trial needs a stride-1 trajectory")
-    dt = traj.dt
-    ts = round(program.transient / dt)
-    spb = round(program.bit_duration / dt)
-    if abs(ts * dt - program.transient) > 1e-9 or (
-        abs(spb * dt - program.bit_duration) > 1e-9
-    ):
-        raise ConfigError("program timing must sit on the step grid")
-    j = np.rint(traj.t / dt).astype(np.int64)
+    ts, spb = bit_grid(program.transient, program.bit_duration, traj.dt)
+    if len(traj) <= ts + program.n_bits * spb:
+        raise EmptySegmentError("trajectory ends before the last bit")
     values = traj.x1 if gate.decode_var == "x1" else traj.x2
-    settle_steps = round(spb * settings.settle_fraction)
-    residences = []
-    for k in range(program.n_bits):
-        lo = ts + k * spb + 1 + settle_steps
-        hi = ts + (k + 1) * spb
-        mask = (j >= lo) & (j <= hi)
-        seg = values[mask]
-        if len(seg) == 0:
-            raise EmptySegmentError(f"bit {k} has no samples in trajectory")
-        residences.append(float(np.mean(gate.rule.holds(seg))))
+    residences = [
+        decode_bit(
+            values[ts + k * spb + 1 : ts + (k + 1) * spb + 1],
+            gate.rule,
+            settings,
+        )[1]
+        for k in range(program.n_bits)
+    ]
     return score_residences(gate, program.bit_tuples(), residences, settings)

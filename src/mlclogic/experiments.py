@@ -37,12 +37,13 @@ from .integrator import (
     batch_bit_residences,
     integrate,
 )
-from .params import CANONICAL, CircuitParams
+from .params import CANONICAL, CircuitParams, check_finite
 from .seeding import derive_seed
 from .signals import (
     DEFAULT_BIT_DURATION,
     DEFAULT_TRANSIENT,
     LogicProgram,
+    bit_grid,
     random_program,
 )
 
@@ -97,6 +98,12 @@ def gate_params(
         noise_d=base.noise_d if noise_d is None else noise_d,
         delta=base.delta if delta is None else delta,
     )
+
+
+def program_delta(gate: GateSpec, params: CircuitParams = CANONICAL) -> float:
+    """Logic encoding half-step for a gate's programs: LATCH_DELTA for
+    the latch, the circuit's delta otherwise."""
+    return LATCH_DELTA if gate.combiner == "DIFF2" else params.delta
 
 
 @dataclass
@@ -169,7 +176,7 @@ def estimate_plogic(
     if params is None:
         params = gate_params(spec)
     if delta is None:
-        delta = LATCH_DELTA if spec.combiner == "DIFF2" else params.delta
+        delta = program_delta(spec, params)
     config = config if config is not None else IntegratorConfig()
     if n_sets < 1 or n_runs_per_set < 1 or bits_per_run < 1:
         raise ConfigError("n_sets, n_runs_per_set, bits_per_run must be >= 1")
@@ -281,6 +288,8 @@ def sweep(
     if axis not in SWEEP_AXES:
         raise ConfigError(f"axis must be one of {SWEEP_AXES}")
     values = [float(v) for v in values]
+    for v in values:
+        check_finite(f"{axis} grid value", v)
     if len(values) < 1:
         raise ConfigError("sweep needs at least one grid value")
     if any(b <= a for a, b in zip(values, values[1:])):
@@ -355,8 +364,7 @@ def export_phase_portrait(
         x0, params, program, program.end_time, config, rng=rng
     )
     j = np.rint(traj.t / config.dt).astype(np.int64)
-    ts = round(program.transient / config.dt)
-    spb = round(program.bit_duration / config.dt)
+    ts, spb = bit_grid(program.transient, program.bit_duration, config.dt)
     keep = j > ts
     k = np.minimum((j[keep] - ts - 1) // spb, program.n_bits - 1)
     tuples = np.array(program.bit_tuples(), dtype=int)

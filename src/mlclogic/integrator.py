@@ -12,7 +12,7 @@ computed from the step index rather than accumulated, so a million
 steps carry one rounding each instead of a growing sum error; this
 keeps the global error of the scheme cleanly fourth order in dt.
 
-The same stage arithmetic drives both the scalar path and the batched
+One step function drives both the scalar path and the batched
 many-trial path, so a width-1 batch reproduces a scalar run bit for
 bit.
 """
@@ -26,11 +26,10 @@ import numpy as np
 
 from .dynamics import drift_network
 from .errors import ConfigError, DivergedError
-from .params import CircuitParams, CnnWeights, derive_weights
+from .params import CircuitParams, check_finite, derive_weights
+from .signals import bit_grid, grid_steps
 
 DEFAULT_X0 = (0.1, 0.1, 0.0)
-
-_SCHEMES = ("auto", "rk4", "rk4+noise")
 
 # Batch divergence checks run at this step interval. Growth rates of
 # the unstable directions are slow enough that a trial cannot reach
@@ -43,42 +42,24 @@ _NOISE_CHUNK = 8192
 class IntegratorConfig:
     """Step size and safety settings.
 
-    scheme "auto" selects plain RK4 when noise_d == 0 and the noisy
-    variant otherwise; naming one explicitly just asserts the choice.
+    Noise is on exactly when the circuit's noise_d > 0; seed seeds the
+    noise generator of integrate() when none is passed.
     """
 
     dt: float = 0.01
-    scheme: str = "auto"
     divergence_bound: float = 1e3
     seed: int = 0
     stride: int = 1
 
     def __post_init__(self):
+        check_finite("dt", self.dt)
+        check_finite("divergence_bound", self.divergence_bound)
         if self.dt <= 0:
             raise ConfigError(f"dt must be > 0, got {self.dt}")
         if self.divergence_bound <= 0:
             raise ConfigError("divergence_bound must be > 0")
-        if self.scheme not in _SCHEMES:
-            raise ConfigError(f"scheme must be one of {_SCHEMES}")
-        if self.stride < 1:
-            raise ConfigError("stride must be >= 1")
-
-    def resolve_scheme(self, params: CircuitParams) -> str:
-        if self.scheme == "rk4" and params.noise_d > 0:
-            raise ConfigError("scheme rk4 is deterministic but noise_d > 0")
-        if self.scheme == "rk4+noise" and params.noise_d == 0:
-            return "rk4"
-        if self.scheme == "auto":
-            return "rk4+noise" if params.noise_d > 0 else "rk4"
-        return self.scheme
-
-
-@dataclass
-class SystemState:
-    x1: float
-    x2: float
-    z: float = 0.0
-    t: float = 0.0
+        if not isinstance(self.stride, int) or self.stride < 1:
+            raise ConfigError("stride must be an integer >= 1")
 
 
 @dataclass
@@ -117,99 +98,53 @@ class Trajectory:
                 )
 
 
-def _rk4_update(x1, x2, f1, f2, f4, h, w: CnnWeights):
-    """One RK4 step with stage forcings f1 (start), f2 (midpoint),
-    f4 (end). Polymorphic over scalars and arrays."""
-    k1a, k1b = drift_network(x1, x2, f1, w)
-    k2a, k2b = drift_network(x1 + 0.5 * h * k1a, x2 + 0.5 * h * k1b, f2, w)
-    k3a, k3b = drift_network(x1 + 0.5 * h * k2a, x2 + 0.5 * h * k2b, f2, w)
-    k4a, k4b = drift_network(x1 + h * k3a, x2 + h * k3b, f4, w)
-    n1 = x1 + (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-    n2 = x2 + (h / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-    return n1, n2
+def _rk4_stepper(params: CircuitParams, z0: float, h: float):
+    """Return step(x1, x2, i, level) -> (x1, x2): one RK4 step from
+    step index i with the logic input held at level.
 
-
-def step(
-    state: SystemState,
-    params: CircuitParams,
-    i_level: float,
-    config: IntegratorConfig,
-    rng: np.random.Generator | None = None,
-    weights: CnnWeights | None = None,
-) -> SystemState:
-    """Advance one step from `state` with logic input held at i_level.
-
-    Raises DivergedError if |x1| or |x2| leaves the bound. For long
-    runs prefer integrate(), which computes t and z from the step
-    index instead of accumulating them.
+    Works alike on floats (one trial) and on arrays of trials that
+    share the drive phase z0 + omega*t.
     """
-    scheme = config.resolve_scheme(params)
-    w = weights if weights is not None else derive_weights(params)
-    h = config.dt
-    base = params.bias + i_level
-    s1 = np.sin(state.z)
-    s2 = np.sin(state.z + 0.5 * params.omega * h)
-    s4 = np.sin(state.z + params.omega * h)
-    x1, x2 = _rk4_update(
-        state.x1,
-        state.x2,
-        base + params.f * s1,
-        base + params.f * s2,
-        base + params.f * s4,
-        h,
-        w,
-    )
-    if scheme == "rk4+noise":
-        if rng is None:
-            raise ConfigError("noise_d > 0 requires a random generator")
-        x2 = x2 + math.sqrt(params.noise_d * h) * rng.standard_normal()
-    t_new = state.t + h
-    _check_bounds(float(x1), float(x2), t_new, config.divergence_bound)
-    return SystemState(
-        x1=float(x1), x2=float(x2), z=state.z + params.omega * h, t=t_new
-    )
+    w = derive_weights(params)
+    omega = params.omega
+    bias = params.bias
+    famp = params.f
+
+    def step(x1, x2, i, level):
+        z = z0 + omega * (i * h)
+        base = bias + level
+        f1 = base + famp * np.sin(z)
+        f2 = base + famp * np.sin(z + 0.5 * omega * h)
+        f4 = base + famp * np.sin(z + omega * h)
+        k1a, k1b = drift_network(x1, x2, f1, w)
+        k2a, k2b = drift_network(x1 + 0.5 * h * k1a, x2 + 0.5 * h * k1b, f2, w)
+        k3a, k3b = drift_network(x1 + 0.5 * h * k2a, x2 + 0.5 * h * k2b, f2, w)
+        k4a, k4b = drift_network(x1 + h * k3a, x2 + h * k3b, f4, w)
+        return (
+            x1 + (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a),
+            x2 + (h / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b),
+        )
+
+    return step
 
 
-def _check_bounds(x1: float, x2: float, t: float, bound: float) -> None:
-    if not (abs(x1) <= bound and abs(x2) <= bound):
-        raise DivergedError(t, x1, x2, bound)
-
-
-def _step_levels(program, config: IntegratorConfig):
-    """Resolve the logic input for each step plus the final sample.
-
-    Returns a callable i -> level for step indices 0..n_steps. For a
-    LogicProgram the lookup is exact index arithmetic; bit edges must
-    sit on the step grid.
-    """
+def _step_levels(program, dt: float):
+    """Return a callable i -> logic input for step indices 0..n_steps:
+    zero through the transient, then the active bit's level, holding
+    the last bit's level past the end of the program."""
     if program is None:
         return lambda i: 0.0
-    if callable(program):
-        dt = config.dt
-        return lambda i: float(program(i * dt))
-    ts = _grid_steps(program.transient, config.dt, "transient")
-    spb = _grid_steps(program.bit_duration, config.dt, "bit_duration")
-    levels = program.levels()
-    n_bits = len(levels)
+    ts, spb = bit_grid(program.transient, program.bit_duration, dt)
+    levels = [float(v) for v in program.levels()]
+    last = len(levels) - 1
 
     def lookup(i: int) -> float:
         if i < ts:
             return 0.0
         k = (i - ts) // spb
-        if k >= n_bits:
-            k = n_bits - 1
-        return float(levels[k])
+        return levels[k if k < last else last]
 
     return lookup
-
-
-def _grid_steps(duration: float, dt: float, name: str) -> int:
-    n = round(duration / dt)
-    if n < 1 or abs(n * dt - duration) > 1e-9:
-        raise ConfigError(
-            f"{name}={duration} is not a positive multiple of dt={dt}"
-        )
-    return n
 
 
 def integrate(
@@ -222,8 +157,8 @@ def integrate(
 ) -> Trajectory:
     """Integrate from t=0 to t_end and return sampled states.
 
-    initial   SystemState or (x1, x2, z) tuple
-    program   LogicProgram, callable t -> I, or None for I = 0
+    initial   (x1, x2, z) start state, z the initial drive phase
+    program   LogicProgram, or None for I = 0
     rng       noise generator; defaults to one seeded from config.seed
 
     Samples are taken every `config.stride` steps, always including
@@ -231,24 +166,20 @@ def integrate(
     leaves the divergence bound.
     """
     config = config if config is not None else IntegratorConfig()
-    scheme = config.resolve_scheme(params)
-    if isinstance(initial, SystemState):
-        x1, x2, z0 = initial.x1, initial.x2, initial.z
-    else:
-        x1, x2, z0 = (float(v) for v in initial)
-    n_steps = _grid_steps(t_end, config.dt, "t_end")
-    level_of = _step_levels(program, config)
-    w = derive_weights(params)
-    if scheme == "rk4+noise" and rng is None:
+    x1, x2, z0 = (float(v) for v in initial)
+    h = config.dt
+    level_of = _step_levels(program, h)
+    n_steps = grid_steps(t_end, h, "t_end", minimum=1)
+    step = _rk4_stepper(params, z0, h)
+    noisy = params.noise_d > 0
+    if noisy and rng is None:
         rng = np.random.default_rng(config.seed)
 
-    h = config.dt
     omega = params.omega
     bias = params.bias
     famp = params.f
     bound = config.divergence_bound
     noise_scale = math.sqrt(params.noise_d * h)
-    noisy = scheme == "rk4+noise"
 
     n_samples = n_steps // config.stride + 1
     extra = 1 if n_steps % config.stride else 0
@@ -270,21 +201,7 @@ def integrate(
     record(0, 0, x1, x2)
     idx = 1
     for i in range(n_steps):
-        z = z0 + omega * (i * h)
-        lev = level_of(i)
-        base = bias + lev
-        s1 = np.sin(z)
-        s2 = np.sin(z + 0.5 * omega * h)
-        s4 = np.sin(z + omega * h)
-        x1, x2 = _rk4_update(
-            x1,
-            x2,
-            base + famp * s1,
-            base + famp * s2,
-            base + famp * s4,
-            h,
-            w,
-        )
+        x1, x2 = step(x1, x2, i, level_of(i))
         if noisy:
             x2 = x2 + noise_scale * rng.standard_normal()
         j = i + 1
@@ -306,17 +223,20 @@ def integrate(
 
 @dataclass
 class BatchResult:
-    """Per-trial, per-bit residence fractions for each indicator.
+    """Per-trial, per-bit residence fractions for each indicator, and
+    each trial's final state.
 
     residences[q][trial, bit] is the fraction of kept samples of that
     bit window (after settle trimming) where indicator q held. Trials
     flagged in `diverged` left the bound; their residences are not
-    meaningful and callers must score them as failures.
+    meaningful and callers must score them as failures, and their
+    final x1, x2 read 0.
     """
 
     residences: list
     diverged: np.ndarray
-    kept_per_bit: int
+    x1: np.ndarray
+    x2: np.ndarray
 
 
 def batch_bit_residences(
@@ -345,8 +265,7 @@ def batch_bit_residences(
     if levels.ndim != 2:
         raise ConfigError("levels must be 2-d (trials x bits)")
     n_tr, n_bits = levels.shape
-    scheme = config.resolve_scheme(params)
-    noisy = scheme == "rk4+noise"
+    noisy = params.noise_d > 0
     if noisy:
         if noise_seeds is None or len(noise_seeds) != n_tr:
             raise ConfigError("noisy batch needs one seed per trial")
@@ -355,24 +274,19 @@ def batch_bit_residences(
         raise ConfigError("settle_fraction must be in [0, 1)")
 
     h = config.dt
-    ts = _grid_steps(transient, h, "transient") if transient > 0 else 0
-    spb = _grid_steps(bit_duration, h, "bit_duration")
+    ts, spb = bit_grid(transient, bit_duration, h)
     settle_steps = round(spb * settle_fraction)
     kept = spb - settle_steps
     if kept < 1:
         raise ConfigError("settle_fraction leaves no samples per bit")
     n_steps = ts + n_bits * spb
 
-    w = derive_weights(params)
-    omega = params.omega
-    bias = params.bias
-    famp = params.f
+    step = _rk4_stepper(params, float(x0[2]), h)
     bound = config.divergence_bound
     noise_scale = math.sqrt(params.noise_d * h)
 
     x1 = np.full(n_tr, float(x0[0]))
     x2 = np.full(n_tr, float(x0[1]))
-    z0 = float(x0[2])
     res = [np.zeros((n_tr, n_bits)) for _ in indicators]
     alive = np.ones(n_tr, dtype=bool)
     zero_i = np.zeros(n_tr)
@@ -382,20 +296,7 @@ def batch_bit_residences(
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
             lev = zero_i if i < ts else levels[:, (i - ts) // spb]
-            z = z0 + omega * (i * h)
-            base = bias + lev
-            s1 = np.sin(z)
-            s2 = np.sin(z + 0.5 * omega * h)
-            s4 = np.sin(z + omega * h)
-            x1, x2 = _rk4_update(
-                x1,
-                x2,
-                base + famp * s1,
-                base + famp * s2,
-                base + famp * s4,
-                h,
-                w,
-            )
+            x1, x2 = step(x1, x2, i, lev)
             if noisy:
                 if noise_buf is None or noise_pos == len(noise_buf):
                     m = min(_NOISE_CHUNK, n_steps - i)
@@ -427,41 +328,6 @@ def batch_bit_residences(
     return BatchResult(
         residences=[r / kept for r in res],
         diverged=~alive,
-        kept_per_bit=kept,
+        x1=x1,
+        x2=x2,
     )
-
-
-def batch_final_states(
-    params: CircuitParams,
-    n_trials: int,
-    t_end: float,
-    config: IntegratorConfig,
-    noise_seeds=None,
-    x0=DEFAULT_X0,
-):
-    """Integrate n_trials identical deterministic setups with
-    independent noise streams and return the final (x1, x2) arrays.
-
-    Used to check the statistics of the noise path; the drive is
-    whatever params says, with I = 0 throughout.
-    """
-    levels = np.zeros((n_trials, 1))
-    capture = {}
-
-    def grab(x1, x2):
-        capture["x1"] = x1.copy()
-        capture["x2"] = x2.copy()
-        return np.zeros(len(x1), dtype=bool)
-
-    batch_bit_residences(
-        params,
-        levels,
-        bit_duration=t_end,
-        transient=0.0,
-        config=config,
-        indicators=[grab],
-        settle_fraction=0.0,
-        noise_seeds=noise_seeds,
-        x0=x0,
-    )
-    return capture["x1"], capture["x2"]

@@ -8,9 +8,21 @@ unforced system in the bistable regime with two outer equilibria.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields
+from numbers import Real
 
 from .errors import ConfigError
+
+
+def check_finite(name: str, value) -> None:
+    """Raise ConfigError unless value is a finite real number."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, Real)
+        or not math.isfinite(value)
+    ):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -38,15 +50,14 @@ class CircuitParams:
     delta: float = 0.2
 
     def __post_init__(self):
+        for fld in fields(self):
+            check_finite(fld.name, getattr(self, fld.name))
         if self.noise_d < 0:
             raise ConfigError(f"noise_d must be >= 0, got {self.noise_d}")
         if self.delta <= 0:
             raise ConfigError(f"delta must be > 0, got {self.delta}")
         if self.omega <= 0:
             raise ConfigError(f"omega must be > 0, got {self.omega}")
-
-    def with_operating_point(self, *, bias: float, f: float) -> "CircuitParams":
-        return replace(self, bias=bias, f=f)
 
 
 CANONICAL = CircuitParams()

@@ -20,11 +20,35 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArityMismatchError, ConfigError
+from .params import check_finite
 
 DEFAULT_BIT_DURATION = 100.53
 DEFAULT_TRANSIENT = 495.5
 
 COMBINER_ARITY = {"SUM2": 2, "DIFF2": 2, "SUM3": 3}
+
+
+def grid_steps(duration: float, dt: float, name: str, minimum: int = 0) -> int:
+    """Number of dt steps in duration, which must be a finite whole
+    multiple of dt of at least `minimum` steps."""
+    check_finite(name, duration)
+    n = round(duration / dt)
+    if n < minimum or abs(n * dt - duration) > 1e-9:
+        raise ConfigError(
+            f"{name}={duration} is not a multiple of dt={dt} "
+            f"of at least {minimum} steps"
+        )
+    return n
+
+
+def bit_grid(transient: float, bit_duration: float, dt: float) -> tuple:
+    """Step counts (transient steps, steps per bit) of a program's bit
+    windows. Bit k covers steps ts + k*spb + 1 .. ts + (k+1)*spb, so its
+    samples are the states after each step taken at its level."""
+    return (
+        grid_steps(transient, dt, "transient"),
+        grid_steps(bit_duration, dt, "bit_duration", minimum=1),
+    )
 
 
 def encode_channel(bit: int, delta: float) -> float:
@@ -123,16 +147,6 @@ class LogicProgram:
 
     def levels(self) -> np.ndarray:
         return np.array([self.level(k) for k in range(self.n_bits)])
-
-    def level_at(self, t: float) -> float:
-        """Drive level I(t): zero during the transient, then the level
-        of the active bit, holding the last bit's level past the end."""
-        if t < self.transient:
-            return 0.0
-        k = int((t - self.transient) / self.bit_duration)
-        if k >= self.n_bits:
-            k = self.n_bits - 1
-        return self.level(k)
 
     def write_csv(self, path) -> None:
         """Write the bit table as bit_index,ch1,ch2[,ch3]."""

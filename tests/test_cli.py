@@ -67,16 +67,19 @@ class TestSimulate:
 
 class TestGate:
     def test_success_exit_zero(self, tmp_path):
-        code = run(
-            [
-                "gate", "--gate", "OR", "--bits", "1,1,0,0",
-                "--seed", 2, "--out", tmp_path,
-            ]
-        )
-        assert code == 0
-        outcome = json.loads((tmp_path / "outcome.json").read_text())
-        assert outcome["success"] is True
-        assert [b["decoded"] for b in outcome["bits"]] == [1, 0]
+        # a zero transient is valid: bit 0 starts at t = 0
+        for timing in ([], ["--transient", 0]):
+            code = run(
+                [
+                    "gate", "--gate", "OR", "--bits", "1,1,0,0",
+                    "--seed", 2, "--out", tmp_path,
+                ]
+                + timing
+            )
+            assert code == 0
+            outcome = json.loads((tmp_path / "outcome.json").read_text())
+            assert outcome["success"] is True
+            assert [b["decoded"] for b in outcome["bits"]] == [1, 0]
 
     def test_logic_failure_exit_one(self, tmp_path):
         # under the aligned protocol a mixed input is captured by the
@@ -96,11 +99,24 @@ class TestGate:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_bad_bits_exit_two(self, tmp_path):
-        code = run(
-            ["gate", "--gate", "OR", "--bits", "1,0,1", "--out", tmp_path]
-        )
-        assert code == 2
+    def test_bad_bits_exit_two(self, tmp_path, capsys):
+        # malformed bits and non-finite numbers are configuration
+        # errors, reported without a traceback
+        for bad in (
+            ["--bits", "1,0,1"],
+            ["--dt", "nan"],
+            ["--bit-duration", "inf"],
+            ["--noise", "nan"],
+            ["--bias", "nan"],
+            ["--delta", "nan"],
+            ["--divergence-bound", "nan"],
+        ):
+            code = run(
+                ["gate", "--gate", "OR", "--n-bits", 1, "--out", tmp_path]
+                + bad
+            )
+            assert code == 2, bad
+            assert "error:" in capsys.readouterr().err
 
 
 class TestLatch:
@@ -145,14 +161,17 @@ class TestSweep:
         assert report["axis"] == "noise"
 
     def test_bad_points_exit_two(self, tmp_path):
-        code = run(
-            [
-                "sweep", "--gate", "OR", "--axis", "noise",
-                "--from", 0.0, "--to", 1.0, "--points", 0,
-                "--out", tmp_path,
-            ]
-        )
-        assert code == 2
+        for grid in ([0.0, 1.0, 0], ["nan", "nan", 1]):
+            code = run(
+                [
+                    "sweep", "--gate", "OR", "--axis", "noise",
+                    "--from", grid[0], "--to", grid[1], "--points", grid[2],
+                    "--sets", 1, "--runs", 1, "--bits-per-run", 1,
+                    "--out", tmp_path,
+                ]
+            )
+            assert code == 2, grid
+            assert not (tmp_path / "report.csv").exists()
 
 
 class TestPhase:
@@ -205,13 +224,15 @@ class TestConfigFile:
         assert snapshot["seed"] == 9
 
     def test_unknown_key_exit_two(self, tmp_path, capsys):
+        # an unknown key and a known key with a non-numeric value
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"gain": 2.0}))
-        code = run(
-            ["simulate", "--gate", "OR", "--config", cfg, "--out", tmp_path]
-        )
-        assert code == 2
-        assert "gain" in capsys.readouterr().err
+        for content, key in (({"gain": 2.0}, "gain"), ({"dt": "0.01"}, "dt")):
+            cfg.write_text(json.dumps(content))
+            code = run(
+                ["simulate", "--gate", "OR", "--config", cfg, "--out", tmp_path]
+            )
+            assert code == 2
+            assert key in capsys.readouterr().err
 
     def test_missing_file_exit_two(self, tmp_path):
         code = run(

@@ -2,31 +2,46 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlclogic import (
-    CANONICAL,
     CircuitParams,
     ConfigError,
+    DecodeSettings,
     DivergedError,
     IntegratorConfig,
     LogicProgram,
-    SystemState,
     batch_bit_residences,
-    batch_final_states,
     derive_seed,
+    drift_circuit,
     gate_params,
     gate_spec,
     integrate,
     score_trial,
-    step,
 )
 
 QUIET = CircuitParams(bias=0.0, f=0.0)
+BITS = st.integers(min_value=0, max_value=1)
 
 
-def tiny_program(channels=((1, 0), (0, 1))):
+def tiny_program(channels=((1, 0), (0, 1)), transient=1.0):
     return LogicProgram(
-        channels=channels, bit_duration=2.0, transient=1.0
+        channels=channels, bit_duration=2.0, transient=transient
+    )
+
+
+def batch_final(p, n_trials, t_end, noise_seeds=None, x0=(0.1, 0.1, 0.0)):
+    """BatchResult of n_trials trials held at I = 0 for t_end."""
+    return batch_bit_residences(
+        p,
+        np.zeros((n_trials, 1)),
+        bit_duration=t_end,
+        transient=0.0,
+        config=IntegratorConfig(),
+        indicators=[],
+        noise_seeds=noise_seeds,
+        x0=x0,
     )
 
 
@@ -61,11 +76,6 @@ class TestGridAndSampling:
         with pytest.raises(ConfigError):
             integrate((0.1, 0.1, 0.0), QUIET, prog, 2.0)
 
-    def test_accepts_state_or_tuple(self):
-        t1 = integrate(SystemState(0.1, 0.1), QUIET, None, 1.0)
-        t2 = integrate((0.1, 0.1, 0.0), QUIET, None, 1.0)
-        assert t1.x1[-1] == t2.x1[-1]
-
     def test_logic_level_recording(self):
         prog = LogicProgram(
             channels=((1, 0), (1, 1)),
@@ -81,12 +91,25 @@ class TestGridAndSampling:
             [0.0, 0.0, 0.4, 0.0, 0.0, 0.0]
         )
 
-    def test_callable_program(self):
+    @given(data=st.data(), n_bits=st.integers(min_value=1, max_value=8))
+    @settings(max_examples=50, deadline=None)
+    def test_level_lookup_matches_active_bit(self, data, n_bits):
+        ch1 = data.draw(st.lists(BITS, min_size=n_bits, max_size=n_bits))
+        ch2 = data.draw(st.lists(BITS, min_size=n_bits, max_size=n_bits))
+        prog = tiny_program((tuple(ch1), tuple(ch2)))
+        # dt = 0.5 keeps every sample time exact in binary
         traj = integrate(
-            (0.1, 0.1, 0.0), QUIET, lambda t: 0.25 if t >= 0.5 else 0.0, 1.0
+            (0.1, 0.1, 0.0),
+            QUIET,
+            prog,
+            prog.end_time + 2.0,
+            IntegratorConfig(dt=0.5),
         )
-        assert traj.i_level[0] == 0.0
-        assert traj.i_level[-1] == 0.25
+        for t, lev in zip(traj.t, traj.i_level):
+            # zero through the transient; a bit edge belongs to the bit
+            # that starts there; the last bit holds past the end
+            k = min(int((t - 1.0) / 2.0), n_bits - 1)
+            assert lev == (0.0 if t < 1.0 else prog.level(k))
 
     def test_forcing_column_matches_definition(self):
         p = CircuitParams(bias=0.3, f=0.5)
@@ -138,14 +161,6 @@ class TestDivergence:
         assert 100.0 * traj.t[-1] > 1e3  # phase far beyond the bound
         assert abs(traj.x1[-1]) < 1e3
 
-    def test_step_checks_bound(self):
-        cfg = IntegratorConfig(divergence_bound=0.05)
-        state = SystemState(0.04, 0.04)
-        p = CircuitParams(bias=0.5, f=0.0)
-        with pytest.raises(DivergedError):
-            for _ in range(1000):
-                state = step(state, p, 0.0, cfg)
-
     def test_batch_flags_diverged_trials(self):
         cfg = IntegratorConfig(divergence_bound=0.5)
         p = CircuitParams(bias=0.01, f=0.0)
@@ -165,22 +180,24 @@ class TestDivergence:
 
 class TestStepConsistency:
     def test_single_step_matches_integrate(self):
+        # a textbook RK4 step in the circuit form, with the drive taken
+        # at the start, midpoint and end of the step
         p = gate_params("OR")
-        state = SystemState(0.1, 0.1, 0.0, 0.0)
-        nxt = step(state, p, 0.0, IntegratorConfig())
-        traj = integrate((0.1, 0.1, 0.0), p, None, 0.01)
-        assert nxt.x1 == traj.x1[-1]
-        assert nxt.x2 == traj.x2[-1]
-        assert nxt.t == pytest.approx(0.01)
+        h = 0.01
 
-    def test_scheme_validation(self):
-        noisy = CircuitParams(noise_d=0.1)
-        with pytest.raises(ConfigError):
-            IntegratorConfig(scheme="rk4").resolve_scheme(noisy)
-        assert IntegratorConfig(scheme="auto").resolve_scheme(noisy) == (
-            "rk4+noise"
-        )
-        assert IntegratorConfig(scheme="auto").resolve_scheme(QUIET) == "rk4"
+        def rhs(x, t):
+            force = p.bias + p.f * np.sin(p.omega * t)
+            return np.array(drift_circuit(x[0], x[1], force, p), dtype=float)
+
+        x = np.array([0.1, 0.1])
+        k1 = rhs(x, 0.0)
+        k2 = rhs(x + 0.5 * h * k1, 0.5 * h)
+        k3 = rhs(x + 0.5 * h * k2, 0.5 * h)
+        k4 = rhs(x + h * k3, h)
+        ref = x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        traj = integrate((0.1, 0.1, 0.0), p, None, h)
+        assert traj.t[-1] == pytest.approx(h)
+        assert [traj.x1[-1], traj.x2[-1]] == pytest.approx(ref, abs=1e-15)
 
 
 class TestNoise:
@@ -231,54 +248,51 @@ class TestNoise:
         d = 0.04
         p = CircuitParams(a=1.0, b=1.0, beta=0.0, f=0.0, noise_d=d)
         seeds = [derive_seed(123, "noise", 0, j) for j in range(4000)]
-        _, x2 = batch_final_states(
-            p,
-            4000,
-            100.0,
-            IntegratorConfig(),
-            noise_seeds=seeds,
-            x0=(0.0, 0.0, 0.0),
-        )
+        x2 = batch_final(p, 4000, 100.0, seeds, x0=(0.0, 0.0, 0.0)).x2
         assert float(np.var(x2)) == pytest.approx(d * 100.0, rel=0.05)
 
 
 class TestBatchScalarConsistency:
     def test_deterministic_final_state_identical(self):
         p = gate_params("OR")
-        x1b, x2b = batch_final_states(p, 1, 5.0, IntegratorConfig())
+        batch = batch_final(p, 1, 5.0)
         traj = integrate((0.1, 0.1, 0.0), p, None, 5.0)
-        assert x1b[0] == traj.x1[-1]
-        assert x2b[0] == traj.x2[-1]
+        assert batch.x1[0] == traj.x1[-1]
+        assert batch.x2[0] == traj.x2[-1]
 
     def test_noisy_final_state_identical(self):
         p = gate_params("OR", noise_d=0.3)
-        seeds = [777]
-        x1b, x2b = batch_final_states(
-            p, 1, 5.0, IntegratorConfig(), noise_seeds=seeds
-        )
+        batch = batch_final(p, 1, 5.0, noise_seeds=[777])
         traj = integrate(
             (0.1, 0.1, 0.0), p, None, 5.0, rng=np.random.default_rng(777)
         )
-        assert x1b[0] == traj.x1[-1]
-        assert x2b[0] == traj.x2[-1]
+        assert batch.x1[0] == traj.x1[-1]
+        assert batch.x2[0] == traj.x2[-1]
 
     def test_residences_identical_across_paths(self):
+        # both paths cut bit windows on one grid, with or without a
+        # transient and a settle cut
         p = gate_params("OR")
-        prog = tiny_program()
         gate = gate_spec("OR")
-        traj = integrate((0.1, 0.1, 0.0), p, prog, prog.end_time)
-        scalar = score_trial(traj, prog, gate)
-        result = batch_bit_residences(
-            p,
-            np.array([prog.levels()]),
-            bit_duration=prog.bit_duration,
-            transient=prog.transient,
-            config=IntegratorConfig(),
-            indicators=[gate.indicator()],
-        )
-        batch_res = result.residences[0][0]
-        scalar_res = [b.residence for b in scalar.bits]
-        assert list(batch_res) == scalar_res
+        for transient in (1.0, 0.0):
+            for settle_fraction in (0.0, 0.5):
+                prog = tiny_program(transient=transient)
+                traj = integrate((0.1, 0.1, 0.0), p, prog, prog.end_time)
+                scalar = score_trial(
+                    traj, prog, gate, DecodeSettings(settle_fraction)
+                )
+                result = batch_bit_residences(
+                    p,
+                    np.array([prog.levels()]),
+                    bit_duration=prog.bit_duration,
+                    transient=prog.transient,
+                    config=IntegratorConfig(),
+                    indicators=[gate.indicator()],
+                    settle_fraction=settle_fraction,
+                )
+                batch_res = result.residences[0][0]
+                scalar_res = [b.residence for b in scalar.bits]
+                assert list(batch_res) == scalar_res
 
     def test_batch_trials_independent(self):
         # identical rows must produce identical residences

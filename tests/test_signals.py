@@ -1,7 +1,7 @@
 """Logic program encoding, sampling, and random program draws."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from mlclogic import (
@@ -80,47 +80,6 @@ class TestLogicProgram:
     def test_levels(self):
         p = self.prog()
         assert p.levels() == pytest.approx([0.0, -0.4, 0.4])
-
-    def test_level_at_transient_is_zero(self):
-        p = self.prog()
-        assert p.level_at(0.0) == 0.0
-        assert p.level_at(0.999) == 0.0
-
-    def test_level_at_bit_edges(self):
-        p = self.prog()
-        # a bit edge belongs to the bit that starts there
-        assert p.level_at(1.0) == pytest.approx(0.0)
-        assert p.level_at(3.0) == pytest.approx(-0.4)
-        assert p.level_at(5.0) == pytest.approx(0.4)
-
-    def test_level_at_holds_past_end(self):
-        p = self.prog()
-        assert p.level_at(7.0) == pytest.approx(0.4)
-        assert p.level_at(1e6) == pytest.approx(0.4)
-
-    @given(
-        data=st.data(),
-        n_bits=st.integers(min_value=1, max_value=8),
-    )
-    @settings(max_examples=50)
-    def test_level_at_matches_active_bit(self, data, n_bits):
-        ch1 = data.draw(
-            st.lists(BITS, min_size=n_bits, max_size=n_bits)
-        )
-        ch2 = data.draw(
-            st.lists(BITS, min_size=n_bits, max_size=n_bits)
-        )
-        p = LogicProgram(
-            channels=(tuple(ch1), tuple(ch2)),
-            bit_duration=2.0,
-            transient=1.0,
-        )
-        frac = data.draw(
-            st.floats(min_value=0.0, max_value=0.999)
-        )
-        k = data.draw(st.integers(min_value=0, max_value=n_bits - 1))
-        t = 1.0 + (k + frac) * 2.0
-        assert p.level_at(t) == pytest.approx(p.level(k))
 
     def test_validation(self):
         with pytest.raises(ConfigError):

@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mlclogic import (
     CircuitParams,
@@ -22,7 +20,6 @@ from mlclogic import (
 )
 
 QUIET = CircuitParams(bias=0.0, f=0.0)
-BITS = st.integers(min_value=0, max_value=1)
 
 
 def tiny_program(channels=((1, 0), (0, 1)), transient=1.0):
@@ -90,26 +87,6 @@ class TestGridAndSampling:
         assert traj.i_level == pytest.approx(
             [0.0, 0.0, 0.4, 0.0, 0.0, 0.0]
         )
-
-    @given(data=st.data(), n_bits=st.integers(min_value=1, max_value=8))
-    @settings(max_examples=50, deadline=None)
-    def test_level_lookup_matches_active_bit(self, data, n_bits):
-        ch1 = data.draw(st.lists(BITS, min_size=n_bits, max_size=n_bits))
-        ch2 = data.draw(st.lists(BITS, min_size=n_bits, max_size=n_bits))
-        prog = tiny_program((tuple(ch1), tuple(ch2)))
-        # dt = 0.5 keeps every sample time exact in binary
-        traj = integrate(
-            (0.1, 0.1, 0.0),
-            QUIET,
-            prog,
-            prog.end_time + 2.0,
-            IntegratorConfig(dt=0.5),
-        )
-        for t, lev in zip(traj.t, traj.i_level):
-            # zero through the transient; a bit edge belongs to the bit
-            # that starts there; the last bit holds past the end
-            k = min(int((t - 1.0) / 2.0), n_bits - 1)
-            assert lev == (0.0 if t < 1.0 else prog.level(k))
 
     def test_forcing_column_matches_definition(self):
         p = CircuitParams(bias=0.3, f=0.5)

@@ -1,21 +1,37 @@
 """Logic program encoding, sampling, and random program draws."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlclogic import (
     ArityMismatchError,
+    CircuitParams,
     ConfigError,
+    IntegratorConfig,
     LogicProgram,
     combine,
     encode_channel,
     level_for_bits,
+    integrate,
     random_program,
     read_program_csv,
 )
 
 BITS = st.integers(min_value=0, max_value=1)
+
+
+def level_column(program, t_end, dt):
+    """The logic input integrate applies at each step 0..t_end/dt,
+    read from its recorded level column with an undriven circuit."""
+    traj = integrate(
+        (0.1, 0.1, 0.0),
+        CircuitParams(bias=0.0, f=0.0),
+        program,
+        t_end,
+        IntegratorConfig(dt=dt),
+    )
+    return traj.i_level
 
 
 class TestEncoding:
@@ -80,6 +96,49 @@ class TestLogicProgram:
     def test_levels(self):
         p = self.prog()
         assert p.levels() == pytest.approx([0.0, -0.4, 0.4])
+
+    def test_level_at_transient_is_zero(self):
+        levels = level_column(self.prog(), 1.0, 0.001)
+        assert levels[0] == 0.0
+        assert levels[999] == 0.0
+
+    def test_level_at_bit_edges(self):
+        levels = level_column(self.prog(), 7.0, 0.5)
+        # a bit edge belongs to the bit that starts there
+        assert levels[2] == pytest.approx(0.0)
+        assert levels[6] == pytest.approx(-0.4)
+        assert levels[10] == pytest.approx(0.4)
+
+    def test_level_at_holds_past_end(self):
+        levels = level_column(self.prog(), 20.0, 0.5)
+        assert levels[14] == pytest.approx(0.4)
+        assert levels[40] == pytest.approx(0.4)
+
+    @given(
+        data=st.data(),
+        n_bits=st.integers(min_value=1, max_value=8),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_level_at_matches_active_bit(self, data, n_bits):
+        ch1 = data.draw(
+            st.lists(BITS, min_size=n_bits, max_size=n_bits)
+        )
+        ch2 = data.draw(
+            st.lists(BITS, min_size=n_bits, max_size=n_bits)
+        )
+        p = LogicProgram(
+            channels=(tuple(ch1), tuple(ch2)),
+            bit_duration=2.0,
+            transient=1.0,
+        )
+        # dt = 0.5 keeps every step time exact in binary
+        levels = level_column(p, p.end_time + 2.0, 0.5)
+        for i, lev in enumerate(levels):
+            # zero through the transient, then the active bit's level,
+            # the last bit holding past the end
+            t = i * 0.5
+            k = min(int((t - 1.0) / 2.0), n_bits - 1)
+            assert lev == (0.0 if t < 1.0 else p.level(k))
 
     def test_validation(self):
         with pytest.raises(ConfigError):

@@ -37,6 +37,7 @@ from .experiments import (
     sweep,
 )
 from .integrator import DEFAULT_X0, IntegratorConfig, integrate
+from .params import check_count
 from .seeding import derive_seed
 from .signals import (
     COMBINER_ARITY,
@@ -78,6 +79,13 @@ _SWEEP_KEYS = {
     "sets": DESK_N_SETS,
     "runs": DESK_N_RUNS,
     "bits_per_run": DESK_BITS_PER_RUN,
+}
+
+_RUN_KEYS = ("gate", "axis", "grid_from", "grid_to", "points")
+
+# Config-file values used as they stand: numbers are checked later.
+_FILE_TYPES = {
+    "seed": (int,), "bits": (str, type(None)), "out": (str,), "gate": (str,),
 }
 
 
@@ -156,29 +164,24 @@ def _load_config_file(path) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(loaded, dict):
         raise ConfigError(f"config {path} must hold a flat JSON object")
-    known = set(_COMMON_KEYS) | set(_SWEEP_KEYS) | {
-        "gate", "axis", "grid_from", "grid_to", "points",
-    }
+    known = set(_COMMON_KEYS) | set(_SWEEP_KEYS) | set(_RUN_KEYS)
     unknown = set(loaded) - known
     if unknown:
         raise ConfigError(
             f"unknown config keys: {', '.join(sorted(unknown))}"
         )
+    for key, kinds in _FILE_TYPES.items():
+        if key in loaded and type(loaded[key]) not in kinds:
+            raise ConfigError(f"config {key} has the wrong type")
     return loaded
 
 
-def _effective(args: argparse.Namespace, extra_keys=()) -> dict:
+def _effective(args: argparse.Namespace, defaults=_COMMON_KEYS) -> dict:
     """Merge defaults, config file, and explicit flags, in that order."""
-    settings = dict(_COMMON_KEYS)
-    for key in extra_keys:
-        settings[key] = _SWEEP_KEYS.get(key)
+    settings = dict(defaults)
     if getattr(args, "config", None):
         settings.update(_load_config_file(args.config))
-    for key in list(settings):
-        val = getattr(args, key, None)
-        if val is not None:
-            settings[key] = val
-    for key in ("gate", "axis", "grid_from", "grid_to", "points"):
+    for key in [*settings, *_RUN_KEYS]:
         val = getattr(args, key, None)
         if val is not None:
             settings[key] = val
@@ -264,17 +267,20 @@ def _resolve_params(settings: dict, spec):
 
 def _setup(args, gate=None):
     """Resolve what a single-program subcommand runs: settings, gate,
-    operating point, program, integrator config and output directory."""
+    operating point, program, integrator config, decode settings and
+    output directory. Every setting is checked before anything runs."""
     settings = _effective(args)
     spec = gate_spec(gate or settings["gate"])
     params = _resolve_params(settings, spec)
     program = _build_program(settings, spec.combiner)
     config = _integrator_config(settings)
-    return settings, spec, params, program, config, _ensure_out(settings)
+    decode = _decode_settings(settings)
+    out_dir = _ensure_out(settings)
+    return settings, spec, params, program, config, decode, out_dir
 
 
 def _run_simulate(args) -> int:
-    settings, _, params, program, config, out_dir = _setup(args)
+    settings, _, params, program, config, _, out_dir = _setup(args)
     traj = integrate(DEFAULT_X0, params, program, program.end_time, config)
     traj.write_csv(out_dir / "trajectory.csv")
     program.write_csv(out_dir / "program.csv")
@@ -283,9 +289,9 @@ def _run_simulate(args) -> int:
 
 
 def _run_gate(args) -> int:
-    settings, spec, params, program, config, out_dir = _setup(args)
+    settings, spec, params, program, config, decode, out_dir = _setup(args)
     traj = integrate(DEFAULT_X0, params, program, program.end_time, config)
-    outcome = score_trial(traj, program, spec, _decode_settings(settings))
+    outcome = score_trial(traj, program, spec, decode)
     program.write_csv(out_dir / "program.csv")
     _write_json(out_dir / "outcome.json", outcome.to_dict())
     _write_snapshot(out_dir, "gate", settings)
@@ -293,10 +299,9 @@ def _run_gate(args) -> int:
 
 
 def _run_sweep(args) -> int:
-    settings = _effective(args, extra_keys=_SWEEP_KEYS)
+    settings = _effective(args, {**_COMMON_KEYS, **_SWEEP_KEYS})
     spec = gate_spec(settings["gate"])
-    if settings["points"] < 1:
-        raise ConfigError("--points must be >= 1")
+    check_count("points", settings["points"])
     values = np.linspace(
         settings["grid_from"], settings["grid_to"], settings["points"]
     )
@@ -325,7 +330,7 @@ def _run_sweep(args) -> int:
 
 
 def _run_phase(args) -> int:
-    settings, _, params, program, config, out_dir = _setup(args)
+    settings, _, params, program, config, _, out_dir = _setup(args)
     portrait = export_phase_portrait(program, params, config)
     portrait.write_csv(out_dir / "phase.csv")
     program.write_csv(out_dir / "program.csv")
@@ -334,10 +339,10 @@ def _run_phase(args) -> int:
 
 
 def _run_latch(args) -> int:
-    settings, _, params, program, config, out_dir = _setup(args, "SR_HIGH")
-    result = run_latch_experiment(
-        program, params, config, _decode_settings(settings)
+    settings, _, params, program, config, decode, out_dir = _setup(
+        args, "SR_HIGH"
     )
+    result = run_latch_experiment(program, params, config, decode)
     program.write_csv(out_dir / "program.csv")
     _write_json(out_dir / "latch.json", result.to_dict())
     _write_snapshot(out_dir, "latch", settings)

@@ -27,7 +27,8 @@ from .errors import (
     EmptySegmentError,
     ForbiddenInputError,
 )
-from .signals import bit_grid
+from .params import check_finite
+from .signals import bit_starts
 
 INDETERMINATE = None
 
@@ -79,6 +80,8 @@ class DecodeSettings:
     agreement_threshold: float = 0.9
 
     def __post_init__(self):
+        check_finite("settle_fraction", self.settle_fraction)
+        check_finite("agreement_threshold", self.agreement_threshold)
         if not 0 <= self.settle_fraction < 1:
             raise ConfigError("settle_fraction must be in [0, 1)")
         if not 0.5 < self.agreement_threshold <= 1:
@@ -390,16 +393,14 @@ def score_trial(
         )
     if traj.stride != 1:
         raise ConfigError("score_trial needs a stride-1 trajectory")
-    ts, spb = bit_grid(program.transient, program.bit_duration, traj.dt)
-    if len(traj) <= ts + program.n_bits * spb:
+    starts = bit_starts(
+        program.transient, program.bit_duration, traj.dt, program.n_bits
+    )
+    if len(traj) <= starts[-1]:
         raise EmptySegmentError("trajectory ends before the last bit")
     values = traj.x1 if gate.decode_var == "x1" else traj.x2
     residences = [
-        decode_bit(
-            values[ts + k * spb + 1 : ts + (k + 1) * spb + 1],
-            gate.rule,
-            settings,
-        )[1]
-        for k in range(program.n_bits)
+        decode_bit(values[lo + 1 : hi + 1], gate.rule, settings)[1]
+        for lo, hi in zip(starts, starts[1:])
     ]
     return score_residences(gate, program.bit_tuples(), residences, settings)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from itertools import groupby
 
 import numpy as np
 
@@ -26,7 +27,9 @@ from .decode import (
     DecodeSettings,
     GateSpec,
     TrialOutcome,
+    decide,
     gate_spec,
+    oracle,
     score_residences,
     score_trial,
 )
@@ -37,13 +40,13 @@ from .integrator import (
     batch_bit_residences,
     integrate,
 )
-from .params import CANONICAL, CircuitParams, check_finite
+from .params import CANONICAL, CircuitParams, check_count, check_finite
 from .seeding import derive_seed
 from .signals import (
     DEFAULT_BIT_DURATION,
     DEFAULT_TRANSIENT,
     LogicProgram,
-    bit_grid,
+    bit_starts,
     random_program,
 )
 
@@ -178,8 +181,9 @@ def estimate_plogic(
     if delta is None:
         delta = program_delta(spec, params)
     config = config if config is not None else IntegratorConfig()
-    if n_sets < 1 or n_runs_per_set < 1 or bits_per_run < 1:
-        raise ConfigError("n_sets, n_runs_per_set, bits_per_run must be >= 1")
+    check_count("n_sets", n_sets)
+    check_count("n_runs_per_set", n_runs_per_set)
+    check_count("bits_per_run", bits_per_run)
 
     programs = _trial_programs(
         spec, n_sets, bits_per_run, base_seed, delta, bit_duration, transient
@@ -356,17 +360,20 @@ def export_phase_portrait(
 ) -> PhasePortrait:
     """Run one program and return its post-transient phase samples.
 
-    Each sample carries the input bit tuple that was active when it
-    was taken, so the portrait can be split by input case.
+    Each sample carries the input bit tuple of the step that produced
+    it, so the portrait can be split by input case.
     """
     config = config if config is not None else IntegratorConfig()
     traj = integrate(
         x0, params, program, program.end_time, config, rng=rng
     )
     j = np.rint(traj.t / config.dt).astype(np.int64)
-    ts, spb = bit_grid(program.transient, program.bit_duration, config.dt)
-    keep = j > ts
-    k = np.minimum((j[keep] - ts - 1) // spb, program.n_bits - 1)
+    starts = bit_starts(
+        program.transient, program.bit_duration, config.dt, program.n_bits
+    )
+    keep = j > starts[0]
+    # sample j is the state after step j - 1; label it with that step's bit
+    k = np.searchsorted(starts, j[keep] - 1, side="right") - 1
     tuples = np.array(program.bit_tuples(), dtype=int)
     return PhasePortrait(
         x1=traj.x1[keep], x2=traj.x2[keep], bits=tuples[k]
@@ -450,11 +457,11 @@ def calibrate_xnor_band(
     """Find the x2 rejection band half-width for the exclusive-nor.
 
     Runs random programs at the exclusive-or operating point and scores
-    each candidate half-width theta by bitwise agreement between the
-    band-complement decode on x2 and the complement of the exclusive-or
-    decode on x1. Returns (best_theta, table) where table holds
-    (theta, agreement) pairs and best_theta is the midpoint of the
-    widest contiguous run of perfect agreement.
+    each candidate half-width theta by the share of bits where the
+    band-complement decode on x2 matches the exclusive-nor truth table.
+    Returns (best_theta, table) where table holds (theta, agreement)
+    pairs and best_theta is the midpoint of the widest contiguous run
+    of perfect agreement.
     """
     if grid is None:
         grid = np.round(np.arange(1.0, 1.61, 0.01), 10)
@@ -483,35 +490,25 @@ def calibrate_xnor_band(
         bit_duration=bit_duration,
         transient=transient,
         config=config,
-        indicators=[xor.indicator()] + [band_indicator(t) for t in grid],
+        indicators=[band_indicator(t) for t in grid],
         settle_fraction=settings.settle_fraction,
     )
-    expected = np.array(
-        [
-            [1 - (b[0] ^ b[1]) for b in p.bit_tuples()]
-            for p in programs
-        ]
-    )
-    thr = settings.agreement_threshold
+    expected = [oracle("XNOR", b) for p in programs for b in p.bit_tuples()]
     table = []
     for gi, theta in enumerate(grid):
         # BAND_COMPLEMENT residence is 1 - BAND residence
-        res = 1.0 - result.residences[1 + gi]
-        decoded = np.full(res.shape, -1)
-        decoded[res >= thr] = 1
-        decoded[(1.0 - res) >= thr] = 0
-        table.append((theta, float(np.mean(decoded == expected))))
-    best_run = (0, None)
-    run_start = None
-    for i, (theta, agr) in enumerate(table + [(None, 0.0)]):
-        if agr == 1.0:
-            if run_start is None:
-                run_start = i
-        elif run_start is not None:
-            length = i - run_start
-            if length > best_run[0]:
-                best_run = (length, (run_start + i - 1) // 2)
-            run_start = None
-    if best_run[1] is None:
+        decoded = [
+            decide(1.0 - r, settings.agreement_threshold)
+            for r in result.residences[gi].ravel()
+        ]
+        agreement = np.mean([d == e for d, e in zip(decoded, expected)])
+        table.append((theta, float(agreement)))
+    perfect = [
+        [i for i, _ in run]
+        for ok, run in groupby(enumerate(table), lambda it: it[1][1] == 1.0)
+        if ok
+    ]
+    if not perfect:
         raise ConfigError("no half-width achieved perfect agreement")
-    return table[best_run[1]][0], table
+    best = max(perfect, key=len)
+    return table[(best[0] + best[-1]) // 2][0], table

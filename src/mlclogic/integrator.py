@@ -26,8 +26,8 @@ import numpy as np
 
 from .dynamics import drift_network
 from .errors import ConfigError, DivergedError
-from .params import CircuitParams, check_finite, derive_weights
-from .signals import bit_grid, grid_steps
+from .params import CircuitParams, check_count, check_finite, derive_weights
+from .signals import bit_starts, grid_steps
 
 DEFAULT_X0 = (0.1, 0.1, 0.0)
 
@@ -35,7 +35,8 @@ DEFAULT_X0 = (0.1, 0.1, 0.0)
 # the unstable directions are slow enough that a trial cannot reach
 # overflow from the bound within one interval.
 _CHECK_INTERVAL = 200
-_NOISE_CHUNK = 8192
+# Most normals a noisy batch holds at once: one buffer column per trial.
+_NOISE_VALUES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -58,8 +59,7 @@ class IntegratorConfig:
             raise ConfigError(f"dt must be > 0, got {self.dt}")
         if self.divergence_bound <= 0:
             raise ConfigError("divergence_bound must be > 0")
-        if not isinstance(self.stride, int) or self.stride < 1:
-            raise ConfigError("stride must be an integer >= 1")
+        check_count("stride", self.stride)
 
 
 @dataclass
@@ -128,23 +128,11 @@ def _rk4_stepper(params: CircuitParams, z0: float, h: float):
     return step
 
 
-def _step_levels(program, dt: float):
-    """Return a callable i -> logic input for step indices 0..n_steps:
-    zero through the transient, then the active bit's level, holding
-    the last bit's level past the end of the program."""
-    if program is None:
-        return lambda i: 0.0
-    ts, spb = bit_grid(program.transient, program.bit_duration, dt)
-    levels = [float(v) for v in program.levels()]
-    last = len(levels) - 1
-
-    def lookup(i: int) -> float:
-        if i < ts:
-            return 0.0
-        k = (i - ts) // spb
-        return levels[k if k < last else last]
-
-    return lookup
+def _segments(zero, levels, starts: list, end: int) -> list:
+    """(level, lo, hi) runs of steps lo .. hi - 1: `zero` through the
+    transient, then each bit at its level, the last held up to `end`."""
+    bounds = [0] + starts[:-1] + [max(starts[-1], end)]
+    return list(zip([zero, *levels], bounds, bounds[1:]))
 
 
 def integrate(
@@ -168,55 +156,59 @@ def integrate(
     config = config if config is not None else IntegratorConfig()
     x1, x2, z0 = (float(v) for v in initial)
     h = config.dt
-    level_of = _step_levels(program, h)
     n_steps = grid_steps(t_end, h, "t_end", minimum=1)
+    segments = [(0.0, 0, n_steps)]
+    if program is not None:
+        starts = bit_starts(
+            program.transient, program.bit_duration, h, program.n_bits
+        )
+        segments = _segments(0.0, program.levels().tolist(), starts, n_steps)
     step = _rk4_stepper(params, z0, h)
     noisy = params.noise_d > 0
     if noisy and rng is None:
         rng = np.random.default_rng(config.seed)
-
-    omega = params.omega
-    bias = params.bias
-    famp = params.f
     bound = config.divergence_bound
     noise_scale = math.sqrt(params.noise_d * h)
 
-    n_samples = n_steps // config.stride + 1
-    extra = 1 if n_steps % config.stride else 0
-    out_t = np.empty(n_samples + extra)
-    out_x1 = np.empty(n_samples + extra)
-    out_x2 = np.empty(n_samples + extra)
-    out_i = np.empty(n_samples + extra)
-    out_f = np.empty(n_samples + extra)
-
-    def record(idx: int, i_step: int, x1v, x2v) -> None:
-        t_i = i_step * h
-        lev = level_of(i_step)
-        out_t[idx] = t_i
-        out_x1[idx] = x1v
-        out_x2[idx] = x2v
-        out_i[idx] = lev
-        out_f[idx] = bias + lev + famp * np.sin(z0 + omega * t_i)
-
-    record(0, 0, x1, x2)
+    # samples at steps 0, stride, 2*stride, ... and n_steps
+    out_t = np.arange(0, n_steps + config.stride, config.stride, dtype=float)
+    out_t[-1] = n_steps
+    out_x1 = np.empty_like(out_t)
+    out_x2 = np.empty_like(out_t)
+    out_x1[0] = x1
+    out_x2[0] = x2
     idx = 1
-    for i in range(n_steps):
-        x1, x2 = step(x1, x2, i, level_of(i))
-        if noisy:
-            x2 = x2 + noise_scale * rng.standard_normal()
-        j = i + 1
-        if not (abs(x1) <= bound and abs(x2) <= bound):
-            raise DivergedError(j * h, float(x1), float(x2), bound)
-        if j % config.stride == 0 or j == n_steps:
-            record(idx, j, x1, x2)
-            idx += 1
+    for level, lo, hi in segments:
+        for i in range(lo, min(hi, n_steps)):
+            x1, x2 = step(x1, x2, i, level)
+            if noisy:
+                x2 = x2 + noise_scale * rng.standard_normal()
+            j = i + 1
+            if not (abs(x1) <= bound and abs(x2) <= bound):
+                raise DivergedError(j * h, float(x1), float(x2), bound)
+            if j % config.stride == 0 or j == n_steps:
+                out_x1[idx] = x1
+                out_x2[idx] = x2
+                idx += 1
+
+    # each sample shows the input of the step that starts there
+    cuts = np.searchsorted(out_t, [lo for _, lo, _ in segments]).tolist()
+    out_t *= h
+    out_f = np.multiply(out_t, params.omega)
+    out_f += z0
+    np.sin(out_f, out=out_f)
+    out_f *= params.f
+    out_i = np.empty_like(out_t)
+    for (level, _, _), a, b in zip(segments, cuts, cuts[1:] + [len(out_t)]):
+        out_i[a:b] = level
+        out_f[a:b] += params.bias + level
     return Trajectory(
-        t=out_t[:idx],
-        x1=out_x1[:idx],
-        x2=out_x2[:idx],
-        i_level=out_i[:idx],
-        f_det=out_f[:idx],
-        dt=config.dt,
+        t=out_t,
+        x1=out_x1,
+        x2=out_x2,
+        i_level=out_i,
+        f_det=out_f,
+        dt=h,
         stride=config.stride,
     )
 
@@ -262,24 +254,20 @@ def batch_bit_residences(
     from the settle point of each bit window to its end.
     """
     levels = np.asarray(levels, dtype=float)
-    if levels.ndim != 2:
-        raise ConfigError("levels must be 2-d (trials x bits)")
+    if levels.ndim != 2 or levels.shape[1] < 1:
+        raise ConfigError("levels must be 2-d (trials x bits), with a bit")
     n_tr, n_bits = levels.shape
-    noisy = params.noise_d > 0
-    if noisy:
-        if noise_seeds is None or len(noise_seeds) != n_tr:
-            raise ConfigError("noisy batch needs one seed per trial")
-        rngs = [np.random.default_rng(s) for s in noise_seeds]
     if not 0 <= settle_fraction < 1:
         raise ConfigError("settle_fraction must be in [0, 1)")
 
     h = config.dt
-    ts, spb = bit_grid(transient, bit_duration, h)
+    starts = bit_starts(transient, bit_duration, h, n_bits)
+    spb = starts[1] - starts[0]
     settle_steps = round(spb * settle_fraction)
     kept = spb - settle_steps
     if kept < 1:
         raise ConfigError("settle_fraction leaves no samples per bit")
-    n_steps = ts + n_bits * spb
+    n_steps = starts[-1]
 
     step = _rk4_stepper(params, float(x0[2]), h)
     bound = config.divergence_bound
@@ -289,39 +277,39 @@ def batch_bit_residences(
     x2 = np.full(n_tr, float(x0[1]))
     res = [np.zeros((n_tr, n_bits)) for _ in indicators]
     alive = np.ones(n_tr, dtype=bool)
-    zero_i = np.zeros(n_tr)
-    noise_buf = None
-    noise_pos = 0
+    noisy = params.noise_d > 0
+    if noisy:
+        if noise_seeds is None or len(noise_seeds) != n_tr:
+            raise ConfigError("noisy batch needs one seed per trial")
+        rngs = [np.random.default_rng(s) for s in noise_seeds]
+        rows = min(n_steps, max(1, _NOISE_VALUES // max(n_tr, 1)))
+        noise = np.empty((rows, n_tr))
+        noise_pos = rows
+    segments = _segments(np.zeros(n_tr), levels.T, starts, n_steps)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_steps):
-            lev = zero_i if i < ts else levels[:, (i - ts) // spb]
-            x1, x2 = step(x1, x2, i, lev)
-            if noisy:
-                if noise_buf is None or noise_pos == len(noise_buf):
-                    m = min(_NOISE_CHUNK, n_steps - i)
-                    noise_buf = np.column_stack(
-                        [r.standard_normal(m) for r in rngs]
-                    )
-                    noise_pos = 0
-                x2 = x2 + noise_scale * noise_buf[noise_pos]
-                noise_pos += 1
-            j = i + 1
-            if j % _CHECK_INTERVAL == 0 or j == n_steps:
-                bad = ~(
-                    (np.abs(x1) <= bound)
-                    & (np.abs(x2) <= bound)
-                    & np.isfinite(x1)
-                    & np.isfinite(x2)
-                )
-                if bad.any():
-                    alive &= ~bad
-                    x1 = np.where(bad, 0.0, x1)
-                    x2 = np.where(bad, 0.0, x2)
-            if j > ts:
-                pos = (j - ts - 1) % spb
-                if pos >= settle_steps:
-                    k = (j - ts - 1) // spb
+        # segment -1 is the transient, which is never counted
+        for k, (lev, lo, hi) in enumerate(segments, -1):
+            count_from = lo + settle_steps if k >= 0 else hi
+            for i in range(lo, hi):
+                x1, x2 = step(x1, x2, i, lev)
+                if noisy:
+                    if noise_pos == rows:
+                        m = min(rows, n_steps - i)
+                        for t, r in enumerate(rngs):
+                            noise[:m, t] = r.standard_normal(m)
+                        noise_pos = 0
+                    x2 = x2 + noise_scale * noise[noise_pos]
+                    noise_pos += 1
+                j = i + 1
+                if j % _CHECK_INTERVAL == 0 or j == n_steps:
+                    # NaN and inf fail the comparison too
+                    bad = ~((np.abs(x1) <= bound) & (np.abs(x2) <= bound))
+                    if bad.any():
+                        alive &= ~bad
+                        x1 = np.where(bad, 0.0, x1)
+                        x2 = np.where(bad, 0.0, x2)
+                if i >= count_from:
                     for q, indicator in enumerate(indicators):
                         res[q][:, k] += indicator(x1, x2)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from numbers import Real
+from numbers import Integral, Real
 
 from .errors import ConfigError
 
@@ -23,6 +23,12 @@ def check_finite(name: str, value) -> None:
         or not math.isfinite(value)
     ):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
+def check_count(name: str, value) -> None:
+    """Raise ConfigError unless value is an integer >= 1."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArityMismatchError, ConfigError
-from .params import check_finite
+from .params import check_count, check_finite
 
 DEFAULT_BIT_DURATION = 100.53
 DEFAULT_TRANSIENT = 495.5
@@ -41,14 +41,15 @@ def grid_steps(duration: float, dt: float, name: str, minimum: int = 0) -> int:
     return n
 
 
-def bit_grid(transient: float, bit_duration: float, dt: float) -> tuple:
-    """Step counts (transient steps, steps per bit) of a program's bit
-    windows. Bit k covers steps ts + k*spb + 1 .. ts + (k+1)*spb, so its
-    samples are the states after each step taken at its level."""
-    return (
-        grid_steps(transient, dt, "transient"),
-        grid_steps(bit_duration, dt, "bit_duration", minimum=1),
-    )
+def bit_starts(
+    transient: float, bit_duration: float, dt: float, n_bits: int
+) -> list:
+    """The step at which each of n_bits bits starts, then the step that
+    ends the program. Bit k holds its level over steps starts[k] ..
+    starts[k+1] - 1, so its samples are the states after those steps."""
+    start = grid_steps(transient, dt, "transient")
+    spb = grid_steps(bit_duration, dt, "bit_duration", minimum=1)
+    return [start + k * spb for k in range(n_bits + 1)]
 
 
 def encode_channel(bit: int, delta: float) -> float:
@@ -119,6 +120,8 @@ class LogicProgram:
             for b in ch:
                 if b not in (0, 1):
                     raise ConfigError(f"bits must be 0 or 1, got {b!r}")
+        for name in ("delta", "bit_duration", "transient"):
+            check_finite(name, getattr(self, name))
         if self.bit_duration <= 0 or self.transient < 0:
             raise ConfigError("bit_duration must be > 0 and transient >= 0")
 
@@ -201,8 +204,7 @@ def random_program(
     (1,1) pair is forbidden by latch semantics, so those draws are
     resampled; the remaining three pairs stay equally likely.
     """
-    if n_bits < 1:
-        raise ConfigError(f"n_bits must be >= 1, got {n_bits}")
+    check_count("n_bits", n_bits)
     arity = COMBINER_ARITY.get(combiner)
     if arity is None:
         raise ConfigError(f"unknown combiner {combiner!r}")

@@ -1,19 +1,22 @@
-"""The benchmark's tracer still fits the package.
+"""The benchmark's tracer and checks still fit the package.
 
 perfbench/tracer.py rebinds the package's public functions by name and
 reads their arguments by parameter name. A rename would break the
 benchmark while every other test stays green, so this checks both
 against the package as it is. The tracer source is only read, never
-changed or cached.
+changed or cached. perfbench/workloads.py also reads each trial's
+final decode variable from the last DecodeRule.holds call of a sweep
+point, which the last test pins down.
 """
 
 import inspect
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from mlclogic import experiments, integrator
+from mlclogic import decode, experiments, integrator
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -51,3 +54,31 @@ HOOK_PARAMETERS = {
 def test_hook_parameters_bind(hook):
     fn, names = HOOK_PARAMETERS[hook]
     assert names <= set(inspect.signature(fn).parameters)
+
+
+def test_last_decode_sees_the_final_state(monkeypatch):
+    # wrap the two functions the way the benchmark's sweep check does
+    got = {}
+
+    def capture(owner, name):
+        original = getattr(owner, name)
+        calls = got[name] = []
+
+        def wrapper(*args, **kwargs):
+            out = original(*args, **kwargs)
+            calls.append((args, out))
+            return out
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    capture(experiments, "batch_bit_residences")
+    capture(decode.DecodeRule, "holds")
+    experiments.estimate_plogic(
+        "OR", n_sets=1, bits_per_run=1, bit_duration=2.0, transient=1.0
+    )
+    [(_, result)] = got["batch_bit_residences"]
+    # one call per counted step, the settled half of the bit's 200
+    assert len(got["holds"]) == 100
+    final = got["holds"][-1][0][1]
+    assert final.shape == (experiments.DESK_N_RUNS,)
+    assert np.array_equal(final, result.x1)

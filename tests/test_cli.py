@@ -224,15 +224,27 @@ class TestConfigFile:
         assert snapshot["seed"] == 9
 
     def test_unknown_key_exit_two(self, tmp_path, capsys):
-        # an unknown key and a known key with a non-numeric value
+        # an unknown key, and known keys with values of the wrong type,
+        # each on top of an otherwise valid short run
         cfg = tmp_path / "run.json"
-        for content, key in (({"gain": 2.0}, "gain"), ({"dt": "0.01"}, "dt")):
-            cfg.write_text(json.dumps(content))
-            code = run(
-                ["simulate", "--gate", "OR", "--config", cfg, "--out", tmp_path]
-            )
-            assert code == 2
-            assert key in capsys.readouterr().err
+        fast = {"n_bits": 1, "bit_duration": 2.0, "transient": 1.0}
+        for bad in (
+            {"gain": 2.0},
+            {"dt": "0.01"},
+            {"bit_duration": "2.0"},
+            {"settle_fraction": "0.5"},
+            {"transient": None},
+            {"n_bits": 2.5},
+            {"seed": "x"},
+            {"bits": 5},
+        ):
+            cfg.write_text(json.dumps({**fast, **bad}))
+            for command in ("simulate", "gate"):
+                code = run(
+                    [command, "--gate", "OR", "--config", cfg, "--out", tmp_path]
+                )
+                assert code == 2, (command, bad)
+                assert next(iter(bad)) in capsys.readouterr().err
 
     def test_missing_file_exit_two(self, tmp_path):
         code = run(

@@ -12,11 +12,14 @@ from mlclogic import (
     ForbiddenInputError,
     IntegratorConfig,
     LATCH_DELTA,
+    XNOR_BAND_HALF_WIDTH,
     LogicProgram,
+    calibrate_xnor_band,
     derive_seed,
     estimate_plogic,
     export_phase_portrait,
     gate_params,
+    integrate,
     random_program,
     run_latch_experiment,
     sweep,
@@ -110,8 +113,14 @@ class TestEstimatePlogic:
         assert est.ci_lo <= est.p_logic <= est.ci_hi
 
     def test_counts_validated(self):
-        with pytest.raises(ConfigError):
-            estimate_plogic("OR", n_sets=0)
+        for bad in (
+            {"n_sets": 0},
+            {"n_sets": 2.5},
+            {"n_runs_per_set": "2"},
+            {"bits_per_run": None},
+        ):
+            with pytest.raises(ConfigError):
+                estimate_plogic("OR", **bad)
 
     def test_latch_gate_uses_latch_delta_by_default(self):
         # mechanics only: DIFF2 programs must avoid (1,1) and thread holds
@@ -243,6 +252,34 @@ class TestPhasePortrait:
         assert tuple(portrait.bits[0]) == (1, 1)
         assert tuple(portrait.bits[-1]) == (0, 1)
 
+    def test_label_at_a_bit_edge(self):
+        # bit 0 (1,1) drives +0.4 over steps 100..299, bit 1 (0,0) -0.4
+        # from step 300; sample 300 is the state after step 299
+        prog = LogicProgram(channels=((1, 0), (1, 0)), **FAST)
+        params = gate_params("OR")
+        portrait = export_phase_portrait(prog, params)
+        traj = integrate((0.1, 0.1, 0.0), params, prog, prog.end_time)
+        # portrait row r holds sample r + 101
+        assert tuple(portrait.bits[199]) == (1, 1)
+        assert tuple(portrait.bits[200]) == (0, 0)
+        assert portrait.x1[199] == traj.x1[300]
+        # integrate's I column shows the input of the step that starts
+        # at the sample, so it is already bit 1's at sample 300
+        assert traj.i_level[299] == pytest.approx(0.4)
+        assert traj.i_level[300] == pytest.approx(-0.4)
+
+    def test_stride_labels_match_stride_one(self):
+        prog = LogicProgram(channels=((1, 0, 1), (1, 0, 0)), **FAST)
+        params = gate_params("OR")
+        full = export_phase_portrait(prog, params)
+        strided = export_phase_portrait(
+            prog, params, IntegratorConfig(stride=3)
+        )
+        # stride 3 samples steps 102, 105, ..., 699 and the last, 700
+        steps = np.r_[np.arange(102, 700, 3), 700]
+        assert np.array_equal(strided.bits, full.bits[steps - 101])
+        assert np.array_equal(strided.x1, full.x1[steps - 101])
+
     def test_csv_format(self, tmp_path):
         prog = LogicProgram(channels=((1, 0), (1, 1)), **FAST)
         portrait = export_phase_portrait(prog, gate_params("OR"))
@@ -261,6 +298,28 @@ class TestPhasePortrait:
         portrait.write_csv(path)
         header = path.read_text().split("\n")[0]
         assert header == "x1,x2,bit_ch1,bit_ch2,bit_ch3"
+
+
+class TestXnorCalibration:
+    def test_default_grid_brackets_the_packaged_band(self):
+        best, table = calibrate_xnor_band(
+            n_programs=4, bits_per_run=2, transient=93.38
+        )
+        thetas = [theta for theta, _ in table]
+        # np.arange(1.0, 1.61, 0.01) lets 1.61 in: 62 half-widths
+        assert len(thetas) == 62
+        assert thetas[0] == 1.0 and thetas[-1] == 1.61
+        runs = []
+        for i, (_, agreement) in enumerate(table):
+            if agreement == 1.0:
+                if runs and runs[-1][-1] == i - 1:
+                    runs[-1].append(i)
+                else:
+                    runs.append([i])
+        longest = max(runs, key=len)
+        assert best == thetas[(longest[0] + longest[-1]) // 2]
+        assert thetas[longest[0]] <= XNOR_BAND_HALF_WIDTH
+        assert XNOR_BAND_HALF_WIDTH <= thetas[longest[-1]]
 
 
 class TestSeedDerivation:

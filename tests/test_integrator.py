@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import mlclogic.integrator as integrator
 from mlclogic import (
     CircuitParams,
     ConfigError,
@@ -270,6 +271,31 @@ class TestBatchScalarConsistency:
                 batch_res = result.residences[0][0]
                 scalar_res = [b.residence for b in scalar.bits]
                 assert list(batch_res) == scalar_res
+
+    def test_small_noise_buffer_draws_the_same_stream(self, monkeypatch):
+        # a buffer refilled every 3 steps, the last fill partial, holds
+        # the same normals as the default one
+        p = gate_params("OR", noise_d=0.3)
+        prog = tiny_program()
+
+        def run():
+            return batch_bit_residences(
+                p,
+                np.array([prog.levels()] * 3),
+                bit_duration=prog.bit_duration,
+                transient=prog.transient,
+                config=IntegratorConfig(),
+                indicators=[gate_spec("OR").indicator()],
+                noise_seeds=[5, 6, 7],
+            )
+
+        default = run()
+        monkeypatch.setattr(integrator, "_NOISE_VALUES", 9)
+        small = run()
+        assert np.array_equal(small.residences[0], default.residences[0])
+        assert np.array_equal(small.x1, default.x1)
+        assert np.array_equal(small.x2, default.x2)
+        assert len(set(default.x2)) == 3
 
     def test_batch_trials_independent(self):
         # identical rows must produce identical residences

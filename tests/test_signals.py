@@ -17,6 +17,7 @@ from mlclogic import (
     random_program,
     read_program_csv,
 )
+from mlclogic.signals import bit_starts
 
 BITS = st.integers(min_value=0, max_value=1)
 
@@ -32,6 +33,30 @@ def level_column(program, t_end, dt):
         IntegratorConfig(dt=dt),
     )
     return traj.i_level
+
+
+class TestBitStarts:
+    def test_one_start_per_bit_then_the_end(self):
+        starts = bit_starts(93.38, 100.53, 0.01, 4)
+        assert len(starts) == 5
+        assert starts[0] == 9338
+        assert {b - a for a, b in zip(starts, starts[1:])} == {10053}
+
+    def test_zero_transient_starts_bit_zero_at_step_zero(self):
+        assert bit_starts(0.0, 2.0, 0.5, 3) == [0, 4, 8, 12]
+
+    def test_rejects_off_grid_and_non_finite_timing(self):
+        for transient, bit_duration in (
+            (1.005, 2.0),
+            (1.0, 2.005),
+            (float("nan"), 2.0),
+            (1.0, float("nan")),
+            (1.0, float("inf")),
+            (-1.0, 2.0),
+            (1.0, 0.0),
+        ):
+            with pytest.raises(ConfigError):
+                bit_starts(transient, bit_duration, 0.01, 2)
 
 
 class TestEncoding:

@@ -21,8 +21,12 @@ from .params import CircuitParams, CnnWeights
 
 
 def saturation(x):
-    """Unit saturation: linear on [-1, 1], clipped to +/-1 outside."""
-    return 0.5 * (np.abs(x + 1.0) - np.abs(x - 1.0))
+    """Unit saturation: linear on [-1, 1], clipped to +/-1 outside.
+
+    The builtin abs keeps a float a float, so a scalar run stays in
+    plain Python arithmetic.
+    """
+    return 0.5 * (abs(x + 1.0) - abs(x - 1.0))
 
 
 def h_piecewise(x, a: float, b: float):

@@ -153,6 +153,86 @@ def _trial_programs(
     ]
 
 
+def _estimate_points(
+    spec: GateSpec,
+    points,
+    *,
+    n_sets: int,
+    n_runs_per_set: int,
+    bits_per_run: int,
+    delta: float | None,
+    bit_duration: float,
+    transient: float,
+    config: IntegratorConfig | None,
+    settings: DecodeSettings,
+    x0,
+) -> list:
+    """P(logic) at each (params, base_seed) point, all points' trials
+    run side by side in one batch.
+
+    Each point draws its programs and noise seeds from its own base
+    seed, so it scores as it would in a batch of its own.
+    """
+    check_count("n_sets", n_sets)
+    check_count("n_runs_per_set", n_runs_per_set)
+    check_count("bits_per_run", bits_per_run)
+    config = config if config is not None else IntegratorConfig()
+    n_trials = n_sets * n_runs_per_set
+    programs, rows, noise_seeds = [], [], []
+    for params, seed in points:
+        programs += _trial_programs(
+            spec,
+            n_sets,
+            bits_per_run,
+            seed,
+            program_delta(spec, params) if delta is None else delta,
+            bit_duration,
+            transient,
+        )
+        rows += [params] * n_trials
+        noise_seeds += [
+            derive_seed(seed, "noise", i, j)
+            for i in range(n_sets)
+            for j in range(n_runs_per_set)
+        ]
+    levels = np.array([p.levels() for p in programs])
+    result = batch_bit_residences(
+        rows,
+        np.repeat(levels, n_runs_per_set, axis=0),
+        bit_duration=bit_duration,
+        transient=transient,
+        config=config,
+        indicators=[spec.indicator()],
+        settle_fraction=settings.settle_fraction,
+        noise_seeds=noise_seeds,
+        x0=x0,
+    )
+    res = result.residences[0]
+    ok = [
+        not result.diverged[t]
+        and score_residences(
+            spec, programs[t // n_runs_per_set].bit_tuples(), res[t], settings
+        ).success
+        for t in range(len(rows))
+    ]
+    estimates = []
+    for first in range(0, len(rows), n_trials):
+        successes = sum(ok[first : first + n_trials])
+        diverged = int(result.diverged[first : first + n_trials].sum())
+        lo, hi = wilson_interval(successes, n_trials)
+        estimates.append(
+            PLogicEstimate(
+                trials=n_trials,
+                successes=successes,
+                diverged=diverged,
+                p_logic=successes / n_trials,
+                ci_lo=lo,
+                ci_hi=hi,
+            )
+        )
+    return estimates
+
+
 def estimate_plogic(
     gate,
     params: CircuitParams | None = None,
@@ -178,56 +258,20 @@ def estimate_plogic(
     spec = gate_spec(gate) if isinstance(gate, str) else gate
     if params is None:
         params = gate_params(spec)
-    if delta is None:
-        delta = program_delta(spec, params)
-    config = config if config is not None else IntegratorConfig()
-    check_count("n_sets", n_sets)
-    check_count("n_runs_per_set", n_runs_per_set)
-    check_count("bits_per_run", bits_per_run)
-
-    programs = _trial_programs(
-        spec, n_sets, bits_per_run, base_seed, delta, bit_duration, transient
-    )
-    levels = np.array([p.levels() for p in programs])
-    levels_full = np.repeat(levels, n_runs_per_set, axis=0)
-    noise_seeds = [
-        derive_seed(base_seed, "noise", i, j)
-        for i in range(n_sets)
-        for j in range(n_runs_per_set)
-    ]
-    result = batch_bit_residences(
-        params,
-        levels_full,
+    [estimate] = _estimate_points(
+        spec,
+        [(params, base_seed)],
+        n_sets=n_sets,
+        n_runs_per_set=n_runs_per_set,
+        bits_per_run=bits_per_run,
+        delta=delta,
         bit_duration=bit_duration,
         transient=transient,
         config=config,
-        indicators=[spec.indicator()],
-        settle_fraction=settings.settle_fraction,
-        noise_seeds=noise_seeds,
+        settings=settings,
         x0=x0,
     )
-    res = result.residences[0]
-    successes = 0
-    diverged = 0
-    n_trials = n_sets * n_runs_per_set
-    for t in range(n_trials):
-        if result.diverged[t]:
-            diverged += 1
-            continue
-        outcome = score_residences(
-            spec, programs[t // n_runs_per_set].bit_tuples(), res[t], settings
-        )
-        if outcome.success:
-            successes += 1
-    lo, hi = wilson_interval(successes, n_trials)
-    return PLogicEstimate(
-        trials=n_trials,
-        successes=successes,
-        diverged=diverged,
-        p_logic=successes / n_trials,
-        ci_lo=lo,
-        ci_hi=hi,
-    )
+    return estimate
 
 
 @dataclass
@@ -285,8 +329,9 @@ def sweep(
 ) -> PLogicReport:
     """Estimate P(logic) along a noise or forcing amplitude grid.
 
-    Each grid point gets its own derived seed, so single points can be
-    reproduced in isolation with estimate_plogic.
+    All grid points run side by side in one batch. Each point gets its
+    own derived seed, so single points can be reproduced in isolation
+    with estimate_plogic.
     """
     spec = gate_spec(gate) if isinstance(gate, str) else gate
     if axis not in SWEEP_AXES:
@@ -299,27 +344,26 @@ def sweep(
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ConfigError("sweep values must be strictly increasing")
     base = gate_params(spec) if params is None else params
-    points = []
-    for i, v in enumerate(values):
-        if axis == "noise":
-            params_i = replace(base, noise_d=v)
-        else:
-            params_i = replace(base, f=v)
-        points.append(
-            estimate_plogic(
-                spec,
-                params_i,
-                n_sets=n_sets,
-                n_runs_per_set=n_runs_per_set,
-                bits_per_run=bits_per_run,
-                base_seed=derive_seed(base_seed, "sweep", axis, i),
-                delta=delta,
-                bit_duration=bit_duration,
-                transient=transient,
-                config=config,
-                settings=settings,
+    key = "noise_d" if axis == "noise" else "f"
+    points = _estimate_points(
+        spec,
+        [
+            (
+                replace(base, **{key: v}),
+                derive_seed(base_seed, "sweep", axis, i),
             )
-        )
+            for i, v in enumerate(values)
+        ],
+        n_sets=n_sets,
+        n_runs_per_set=n_runs_per_set,
+        bits_per_run=bits_per_run,
+        delta=delta,
+        bit_duration=bit_duration,
+        transient=transient,
+        config=config,
+        settings=settings,
+        x0=DEFAULT_X0,
+    )
     return PLogicReport(
         gate=spec.kind, axis=axis, axis_values=values, points=points
     )

@@ -98,24 +98,24 @@ class Trajectory:
                 )
 
 
-def _rk4_stepper(params: CircuitParams, z0: float, h: float):
+def _rk4_stepper(params: CircuitParams, z0: float, h: float, bias, famp):
     """Return step(x1, x2, i, level) -> (x1, x2): one RK4 step from
     step index i with the logic input held at level.
 
     Works alike on floats (one trial) and on arrays of trials that
-    share the drive phase z0 + omega*t.
+    share the drive phase z0 + omega*t; bias and famp, the drive
+    amplitude, are floats or per-trial columns. The circuit constants
+    come from params.
     """
     w = derive_weights(params)
     omega = params.omega
-    bias = params.bias
-    famp = params.f
 
     def step(x1, x2, i, level):
         z = z0 + omega * (i * h)
         base = bias + level
-        f1 = base + famp * np.sin(z)
-        f2 = base + famp * np.sin(z + 0.5 * omega * h)
-        f4 = base + famp * np.sin(z + omega * h)
+        f1 = base + famp * math.sin(z)
+        f2 = base + famp * math.sin(z + 0.5 * omega * h)
+        f4 = base + famp * math.sin(z + omega * h)
         k1a, k1b = drift_network(x1, x2, f1, w)
         k2a, k2b = drift_network(x1 + 0.5 * h * k1a, x2 + 0.5 * h * k1b, f2, w)
         k3a, k3b = drift_network(x1 + 0.5 * h * k2a, x2 + 0.5 * h * k2b, f2, w)
@@ -163,7 +163,7 @@ def integrate(
             program.transient, program.bit_duration, h, program.n_bits
         )
         segments = _segments(0.0, program.levels().tolist(), starts, n_steps)
-    step = _rk4_stepper(params, z0, h)
+    step = _rk4_stepper(params, z0, h, params.bias, params.f)
     noisy = params.noise_d > 0
     if noisy and rng is None:
         rng = np.random.default_rng(config.seed)
@@ -231,8 +231,27 @@ class BatchResult:
     x2: np.ndarray
 
 
+def _trial_columns(params, n_tr: int):
+    """The CircuitParams whose circuit constants every trial shares,
+    and per-trial bias, f and noise_d columns, from one CircuitParams
+    or a sequence with one per trial."""
+    if isinstance(params, CircuitParams):
+        shared, params = params, [params] * n_tr
+    else:
+        params = list(params)
+        if len(params) != n_tr or not params:
+            raise ConfigError(f"{len(params)} params for {n_tr} trials")
+        shared = params[0]
+    if len({(p.a, p.b, p.nu, p.beta, p.omega, p.delta) for p in params}) > 1:
+        raise ConfigError("batch trials may differ only in bias, f, noise_d")
+    return shared, *(
+        np.array([getattr(p, name) for p in params])
+        for name in ("bias", "f", "noise_d")
+    )
+
+
 def batch_bit_residences(
-    params: CircuitParams,
+    params,
     levels: np.ndarray,
     *,
     bit_duration: float,
@@ -245,13 +264,18 @@ def batch_bit_residences(
 ) -> BatchResult:
     """Run many independent trials side by side and score residences.
 
+    params        one CircuitParams for every trial, or a sequence with
+                  one per trial row
     levels        (n_trials, n_bits) combined drive levels per bit
     indicators    callables (x1, x2) -> bool array, scored per sample
-    noise_seeds   per-trial seeds, consumed only when noise_d > 0
+    noise_seeds   per-trial seeds, consumed only by trials with
+                  noise_d > 0
 
-    All trials share the step grid and drive phase; they differ only
-    in their logic levels and noise streams. Residences count samples
-    from the settle point of each bit window to its end.
+    All trials share the step grid, the drive phase and the circuit
+    constants; they differ only in their logic levels, bias, drive
+    amplitude f and noise. A trial with noise_d = 0 draws nothing.
+    Residences count samples from the settle point of each bit window
+    to its end.
     """
     levels = np.asarray(levels, dtype=float)
     if levels.ndim != 2 or levels.shape[1] < 1:
@@ -259,6 +283,7 @@ def batch_bit_residences(
     n_tr, n_bits = levels.shape
     if not 0 <= settle_fraction < 1:
         raise ConfigError("settle_fraction must be in [0, 1)")
+    shared, bias, famp, noise_d = _trial_columns(params, n_tr)
 
     h = config.dt
     starts = bit_starts(transient, bit_duration, h, n_bits)
@@ -269,21 +294,22 @@ def batch_bit_residences(
         raise ConfigError("settle_fraction leaves no samples per bit")
     n_steps = starts[-1]
 
-    step = _rk4_stepper(params, float(x0[2]), h)
+    step = _rk4_stepper(shared, float(x0[2]), h, bias, famp)
     bound = config.divergence_bound
-    noise_scale = math.sqrt(params.noise_d * h)
 
     x1 = np.full(n_tr, float(x0[0]))
     x2 = np.full(n_tr, float(x0[1]))
     res = [np.zeros((n_tr, n_bits)) for _ in indicators]
     alive = np.ones(n_tr, dtype=bool)
-    noisy = params.noise_d > 0
+    noisy = np.flatnonzero(noise_d > 0).tolist()
     if noisy:
         if noise_seeds is None or len(noise_seeds) != n_tr:
             raise ConfigError("noisy batch needs one seed per trial")
-        rngs = [np.random.default_rng(s) for s in noise_seeds]
-        rows = min(n_steps, max(1, _NOISE_VALUES // max(n_tr, 1)))
-        noise = np.empty((rows, n_tr))
+        noise_scale = np.sqrt(noise_d * h)
+        rngs = [(t, np.random.default_rng(noise_seeds[t])) for t in noisy]
+        rows = min(n_steps, max(1, _NOISE_VALUES // n_tr))
+        # columns of trials without noise stay 0.0
+        noise = np.zeros((rows, n_tr))
         noise_pos = rows
     segments = _segments(np.zeros(n_tr), levels.T, starts, n_steps)
 
@@ -296,7 +322,7 @@ def batch_bit_residences(
                 if noisy:
                     if noise_pos == rows:
                         m = min(rows, n_steps - i)
-                        for t, r in enumerate(rngs):
+                        for t, r in rngs:
                             noise[:m, t] = r.standard_normal(m)
                         noise_pos = 0
                     x2 = x2 + noise_scale * noise[noise_pos]

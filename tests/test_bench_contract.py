@@ -6,7 +6,7 @@ benchmark while every other test stays green, so this checks both
 against the package as it is. The tracer source is only read, never
 changed or cached. perfbench/workloads.py also reads each trial's
 final decode variable from the last DecodeRule.holds call of a sweep
-point, which the last test pins down.
+point, which the last two tests pin down.
 """
 
 import inspect
@@ -56,8 +56,9 @@ def test_hook_parameters_bind(hook):
     assert names <= set(inspect.signature(fn).parameters)
 
 
-def test_last_decode_sees_the_final_state(monkeypatch):
-    # wrap the two functions the way the benchmark's sweep check does
+def capture_calls(monkeypatch):
+    """Wrap the two functions the way the benchmark's sweep check does,
+    keeping every call's arguments and return value."""
     got = {}
 
     def capture(owner, name):
@@ -73,6 +74,11 @@ def test_last_decode_sees_the_final_state(monkeypatch):
 
     capture(experiments, "batch_bit_residences")
     capture(decode.DecodeRule, "holds")
+    return got
+
+
+def test_last_decode_sees_the_final_state(monkeypatch):
+    got = capture_calls(monkeypatch)
     experiments.estimate_plogic(
         "OR", n_sets=1, bits_per_run=1, bit_duration=2.0, transient=1.0
     )
@@ -81,4 +87,23 @@ def test_last_decode_sees_the_final_state(monkeypatch):
     assert len(got["holds"]) == 100
     final = got["holds"][-1][0][1]
     assert final.shape == (experiments.DESK_N_RUNS,)
+    assert np.array_equal(final, result.x1)
+
+
+def test_sweep_runs_one_batch_over_all_points(monkeypatch):
+    got = capture_calls(monkeypatch)
+    experiments.sweep(
+        "OR",
+        "noise",
+        [0.0, 0.002],
+        n_sets=2,
+        n_runs_per_set=3,
+        bits_per_run=2,
+        bit_duration=2.0,
+        transient=1.0,
+    )
+    [(args, result)] = got["batch_bit_residences"]
+    # points x trials rows, one column per bit
+    assert args[1].shape == (2 * 2 * 3, 2)
+    final = got["holds"][-1][0][1]
     assert np.array_equal(final, result.x1)

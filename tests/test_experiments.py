@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mlclogic.experiments as experiments
 from mlclogic import (
     ConfigError,
     ForbiddenInputError,
@@ -180,6 +181,47 @@ class TestSweep:
             **FAST,
         )
         assert rep.points[1].successes == solo.successes
+
+    def test_every_point_matches_isolation_in_one_batch(self, monkeypatch):
+        # D = 0 sits among noisy points; the forcing sweep moves f
+        calls = []
+        original = experiments.batch_bit_residences
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].shape)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "batch_bit_residences", counting)
+        kw = dict(n_sets=2, n_runs_per_set=2, bits_per_run=2, **FAST)
+        for gate, axis, values in (
+            ("OR", "noise", [0.0, 0.001, 0.003, 0.3]),
+            ("XOR", "forcing", [0.1, 0.16, 0.2]),
+        ):
+            calls.clear()
+            rep = sweep(gate, axis, values, base_seed=23, **kw)
+            assert calls == [(len(values) * 4, 2)]
+            key = "noise_d" if axis == "noise" else "f"
+            for i, v in enumerate(values):
+                solo = estimate_plogic(
+                    gate,
+                    gate_params(gate, **{key: v}),
+                    base_seed=derive_seed(23, "sweep", axis, i),
+                    **kw,
+                )
+                assert rep.points[i].to_dict() == solo.to_dict()
+
+    def test_counts_validated_before_integrating(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("integrated before checking the counts")
+
+        monkeypatch.setattr(experiments, "batch_bit_residences", fail)
+        for bad in (
+            {"n_sets": 2.5},
+            {"n_runs_per_set": "2"},
+            {"bits_per_run": None},
+        ):
+            with pytest.raises(ConfigError):
+                sweep("OR", "noise", [0.0, 0.1], **bad)
 
     def test_forcing_axis_moves_drive(self):
         rep = sweep(

@@ -315,6 +315,75 @@ class TestBatchScalarConsistency:
         )
 
 
+# rows that mix D = 0 and D = 0.003, two drive amplitudes and two biases
+MIXED_ROWS = [
+    gate_params("OR", noise_d=0.0),
+    gate_params("OR", noise_d=0.003),
+    gate_params("OR", f=0.16, noise_d=0.0),
+    gate_params("OR", f=0.16, noise_d=0.003),
+    gate_params("AND", noise_d=0.003),
+]
+MIXED_LEVELS = np.array(
+    [[0.4, -0.4], [0.0, 0.4], [-0.4, 0.0], [0.4, 0.4], [0.0, -0.4]]
+)
+
+
+def mixed_batch(params, levels, seeds):
+    return batch_bit_residences(
+        params,
+        levels,
+        bit_duration=2.0,
+        transient=1.0,
+        config=IntegratorConfig(),
+        indicators=[gate_spec("OR").indicator(), lambda x1, x2: x2 > 0],
+        noise_seeds=seeds,
+    )
+
+
+class TestPerTrialParams:
+    def test_mixed_rows_match_separate_calls(self):
+        seeds = [derive_seed(3, "noise", t) for t in range(len(MIXED_ROWS))]
+        mixed = mixed_batch(MIXED_ROWS, MIXED_LEVELS, seeds)
+        for t, p in enumerate(MIXED_ROWS):
+            alone = mixed_batch(p, MIXED_LEVELS[t : t + 1], seeds[t : t + 1])
+            for q in range(2):
+                assert np.array_equal(
+                    mixed.residences[q][t], alone.residences[q][0]
+                )
+            assert mixed.diverged[t] == alone.diverged[0]
+            assert mixed.x1[t] == alone.x1[0]
+            assert mixed.x2[t] == alone.x2[0]
+        # the noise reached the noisy rows only
+        quiet = mixed_batch(
+            [gate_params("OR")] * 2, MIXED_LEVELS[:2], seeds[:2]
+        )
+        assert mixed.x2[0] == quiet.x2[0]
+        assert mixed.x2[1] != quiet.x2[1]
+
+    def test_mixed_rows_with_small_noise_buffer(self, monkeypatch):
+        seeds = [11, 12, 13, 14, 15]
+        default = mixed_batch(MIXED_ROWS, MIXED_LEVELS, seeds)
+        monkeypatch.setattr(integrator, "_NOISE_VALUES", 9)
+        small = mixed_batch(MIXED_ROWS, MIXED_LEVELS, seeds)
+        for q in range(2):
+            assert np.array_equal(small.residences[q], default.residences[q])
+        assert np.array_equal(small.diverged, default.diverged)
+        assert np.array_equal(small.x1, default.x1)
+        assert np.array_equal(small.x2, default.x2)
+
+    def test_rows_must_share_circuit_constants(self):
+        p = gate_params("OR")
+        for other in (
+            CircuitParams(beta=0.9, bias=p.bias),
+            CircuitParams(omega=1.1, bias=p.bias),
+        ):
+            with pytest.raises(ConfigError):
+                mixed_batch([p, other], MIXED_LEVELS[:2], [1, 2])
+        for rows in ([p], [p] * 3):
+            with pytest.raises(ConfigError):
+                mixed_batch(rows, MIXED_LEVELS[:2], [1, 2])
+
+
 class TestTrajectoryCsv:
     def test_format_and_round_trip(self, tmp_path):
         p = gate_params("OR")

@@ -35,6 +35,7 @@ from .experiments import (
     program_delta,
     run_latch_experiment,
     sweep,
+    write_json,
 )
 from .integrator import DEFAULT_X0, IntegratorConfig, integrate
 from .params import check_count
@@ -224,7 +225,6 @@ def _integrator_config(settings: dict) -> IntegratorConfig:
     return IntegratorConfig(
         dt=settings["dt"],
         divergence_bound=settings["divergence_bound"],
-        seed=derive_seed(settings["seed"], "noise", 0, 0),
         stride=settings["stride"],
     )
 
@@ -236,15 +236,9 @@ def _decode_settings(settings: dict) -> DecodeSettings:
     )
 
 
-def _write_json(path: Path, obj: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _write_snapshot(out_dir: Path, command: str, settings: dict) -> None:
     snapshot = dict(settings, command=command, version=__version__)
-    _write_json(out_dir / "config.json", snapshot)
+    write_json(out_dir / "config.json", snapshot)
 
 
 def _resolve_params(settings: dict, spec):
@@ -267,21 +261,27 @@ def _resolve_params(settings: dict, spec):
 
 def _setup(args, gate=None):
     """Resolve what a single-program subcommand runs: settings, gate,
-    operating point, program, integrator config, decode settings and
-    output directory. Every setting is checked before anything runs."""
+    operating point, program, integrator config, noise generator,
+    decode settings and output directory. Every setting is checked
+    before anything runs."""
     settings = _effective(args)
     spec = gate_spec(gate or settings["gate"])
     params = _resolve_params(settings, spec)
     program = _build_program(settings, spec.combiner)
     config = _integrator_config(settings)
+    seed = derive_seed(settings["seed"], "noise", 0, 0)
+    # numpy.random loads on first use; a deterministic run never needs it
+    rng = np.random.default_rng(seed) if params.noise_d > 0 else None
     decode = _decode_settings(settings)
     out_dir = _ensure_out(settings)
-    return settings, spec, params, program, config, decode, out_dir
+    return settings, spec, params, program, config, rng, decode, out_dir
 
 
 def _run_simulate(args) -> int:
-    settings, _, params, program, config, _, out_dir = _setup(args)
-    traj = integrate(DEFAULT_X0, params, program, program.end_time, config)
+    settings, _, params, program, config, rng, _, out_dir = _setup(args)
+    traj = integrate(
+        DEFAULT_X0, params, program, program.end_time, config, rng
+    )
     traj.write_csv(out_dir / "trajectory.csv")
     program.write_csv(out_dir / "program.csv")
     _write_snapshot(out_dir, "simulate", settings)
@@ -289,11 +289,15 @@ def _run_simulate(args) -> int:
 
 
 def _run_gate(args) -> int:
-    settings, spec, params, program, config, decode, out_dir = _setup(args)
-    traj = integrate(DEFAULT_X0, params, program, program.end_time, config)
+    settings, spec, params, program, config, rng, decode, out_dir = _setup(
+        args
+    )
+    traj = integrate(
+        DEFAULT_X0, params, program, program.end_time, config, rng
+    )
     outcome = score_trial(traj, program, spec, decode)
     program.write_csv(out_dir / "program.csv")
-    _write_json(out_dir / "outcome.json", outcome.to_dict())
+    write_json(out_dir / "outcome.json", outcome.to_dict())
     _write_snapshot(out_dir, "gate", settings)
     return EXIT_OK if outcome.success else EXIT_LOGIC_FAILURE
 
@@ -330,8 +334,8 @@ def _run_sweep(args) -> int:
 
 
 def _run_phase(args) -> int:
-    settings, _, params, program, config, _, out_dir = _setup(args)
-    portrait = export_phase_portrait(program, params, config)
+    settings, _, params, program, config, rng, _, out_dir = _setup(args)
+    portrait = export_phase_portrait(program, params, config, rng)
     portrait.write_csv(out_dir / "phase.csv")
     program.write_csv(out_dir / "program.csv")
     _write_snapshot(out_dir, "phase", settings)
@@ -339,12 +343,12 @@ def _run_phase(args) -> int:
 
 
 def _run_latch(args) -> int:
-    settings, _, params, program, config, decode, out_dir = _setup(
+    settings, _, params, program, config, rng, decode, out_dir = _setup(
         args, "SR_HIGH"
     )
-    result = run_latch_experiment(program, params, config, decode)
+    result = run_latch_experiment(program, params, config, decode, rng)
     program.write_csv(out_dir / "program.csv")
-    _write_json(out_dir / "latch.json", result.to_dict())
+    write_json(out_dir / "latch.json", result.to_dict())
     _write_snapshot(out_dir, "latch", settings)
     return EXIT_OK if result.success else EXIT_LOGIC_FAILURE
 

@@ -61,13 +61,14 @@ DESK_N_RUNS = 5
 DESK_BITS_PER_RUN = 20
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96):
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int):
+    """Wilson score 95% interval for a binomial proportion."""
     if trials <= 0:
         raise ConfigError("trials must be > 0")
     if not 0 <= successes <= trials:
         raise ConfigError("successes must be in [0, trials]")
     p = successes / trials
+    z = 1.96
     z2 = z * z
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2 * trials)) / denom
@@ -85,7 +86,6 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96):
 
 def gate_params(
     gate,
-    base: CircuitParams = CANONICAL,
     *,
     bias: float | None = None,
     f: float | None = None,
@@ -95,11 +95,11 @@ def gate_params(
     """Circuit parameters at a gate's operating point, with overrides."""
     spec = gate_spec(gate) if isinstance(gate, str) else gate
     return replace(
-        base,
+        CANONICAL,
         bias=spec.bias if bias is None else bias,
         f=spec.f if f is None else f,
-        noise_d=base.noise_d if noise_d is None else noise_d,
-        delta=base.delta if delta is None else delta,
+        noise_d=CANONICAL.noise_d if noise_d is None else noise_d,
+        delta=CANONICAL.delta if delta is None else delta,
     )
 
 
@@ -107,6 +107,13 @@ def program_delta(gate: GateSpec, params: CircuitParams = CANONICAL) -> float:
     """Logic encoding half-step for a gate's programs: LATCH_DELTA for
     the latch, the circuit's delta otherwise."""
     return LATCH_DELTA if gate.combiner == "DIFF2" else params.delta
+
+
+def write_json(path, obj: dict) -> None:
+    """Write obj as indented JSON with sorted keys and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 @dataclass
@@ -165,7 +172,6 @@ def _estimate_points(
     transient: float,
     config: IntegratorConfig | None,
     settings: DecodeSettings,
-    x0,
 ) -> list:
     """P(logic) at each (params, base_seed) point, all points' trials
     run side by side in one batch.
@@ -205,7 +211,6 @@ def _estimate_points(
         indicators=[spec.indicator()],
         settle_fraction=settings.settle_fraction,
         noise_seeds=noise_seeds,
-        x0=x0,
     )
     res = result.residences[0]
     ok = [
@@ -246,7 +251,6 @@ def estimate_plogic(
     transient: float = DEFAULT_TRANSIENT,
     config: IntegratorConfig | None = None,
     settings: DecodeSettings = DEFAULT_SETTINGS,
-    x0=DEFAULT_X0,
 ) -> PLogicEstimate:
     """Estimate P(logic) for one gate at one operating point.
 
@@ -269,7 +273,6 @@ def estimate_plogic(
         transient=transient,
         config=config,
         settings=settings,
-        x0=x0,
     )
     return estimate
 
@@ -303,9 +306,7 @@ class PLogicReport:
         }
 
     def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
 
 SWEEP_AXES = ("noise", "forcing")
@@ -362,7 +363,6 @@ def sweep(
         transient=transient,
         config=config,
         settings=settings,
-        x0=DEFAULT_X0,
     )
     return PLogicReport(
         gate=spec.kind, axis=axis, axis_values=values, points=points
@@ -400,7 +400,6 @@ def export_phase_portrait(
     params: CircuitParams,
     config: IntegratorConfig | None = None,
     rng: np.random.Generator | None = None,
-    x0=DEFAULT_X0,
 ) -> PhasePortrait:
     """Run one program and return its post-transient phase samples.
 
@@ -409,7 +408,7 @@ def export_phase_portrait(
     """
     config = config if config is not None else IntegratorConfig()
     traj = integrate(
-        x0, params, program, program.end_time, config, rng=rng
+        DEFAULT_X0, params, program, program.end_time, config, rng=rng
     )
     j = np.rint(traj.t / config.dt).astype(np.int64)
     starts = bit_starts(
@@ -459,7 +458,6 @@ def run_latch_experiment(
     config: IntegratorConfig | None = None,
     settings: DecodeSettings = DEFAULT_SETTINGS,
     rng: np.random.Generator | None = None,
-    x0=DEFAULT_X0,
 ) -> LatchResult:
     """Drive the latch with a set/reset program and score both outputs.
 
@@ -480,7 +478,7 @@ def run_latch_experiment(
         params = gate_params("SR_HIGH", delta=LATCH_DELTA)
     config = config if config is not None else IntegratorConfig()
     traj = integrate(
-        x0, params, program, program.end_time, config, rng=rng
+        DEFAULT_X0, params, program, program.end_time, config, rng=rng
     )
     high = score_trial(traj, program, gate_spec("SR_HIGH"), settings)
     low = score_trial(traj, program, gate_spec("SR_LOW"), settings)
@@ -488,29 +486,24 @@ def run_latch_experiment(
 
 
 def calibrate_xnor_band(
-    grid=None,
     *,
     base_seed: int = 0,
     n_programs: int = 20,
     bits_per_run: int = DESK_BITS_PER_RUN,
     bit_duration: float = DEFAULT_BIT_DURATION,
     transient: float = DEFAULT_TRANSIENT,
-    config: IntegratorConfig | None = None,
-    settings: DecodeSettings = DEFAULT_SETTINGS,
 ):
     """Find the x2 rejection band half-width for the exclusive-nor.
 
     Runs random programs at the exclusive-or operating point and scores
-    each candidate half-width theta by the share of bits where the
-    band-complement decode on x2 matches the exclusive-nor truth table.
+    each candidate half-width theta, 1.00 to 1.61 in steps of 0.01, by
+    the share of bits where the band-complement decode on x2 matches
+    the exclusive-nor truth table.
     Returns (best_theta, table) where table holds (theta, agreement)
     pairs and best_theta is the midpoint of the widest contiguous run
     of perfect agreement.
     """
-    if grid is None:
-        grid = np.round(np.arange(1.0, 1.61, 0.01), 10)
-    grid = [float(g) for g in grid]
-    config = config if config is not None else IntegratorConfig()
+    grid = np.round(np.arange(1.0, 1.61, 0.01), 10).tolist()
     xor = gate_spec("XOR")
     params = gate_params(xor)
     programs = _trial_programs(
@@ -533,16 +526,16 @@ def calibrate_xnor_band(
         levels,
         bit_duration=bit_duration,
         transient=transient,
-        config=config,
+        config=IntegratorConfig(),
         indicators=[band_indicator(t) for t in grid],
-        settle_fraction=settings.settle_fraction,
+        settle_fraction=DEFAULT_SETTINGS.settle_fraction,
     )
     expected = [oracle("XNOR", b) for p in programs for b in p.bit_tuples()]
     table = []
     for gi, theta in enumerate(grid):
         # BAND_COMPLEMENT residence is 1 - BAND residence
         decoded = [
-            decide(1.0 - r, settings.agreement_threshold)
+            decide(1.0 - r, DEFAULT_SETTINGS.agreement_threshold)
             for r in result.residences[gi].ravel()
         ]
         agreement = np.mean([d == e for d, e in zip(decoded, expected)])

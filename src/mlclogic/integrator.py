@@ -43,13 +43,11 @@ _NOISE_VALUES = 1 << 20
 class IntegratorConfig:
     """Step size and safety settings.
 
-    Noise is on exactly when the circuit's noise_d > 0; seed seeds the
-    noise generator of integrate() when none is passed.
+    Noise is on exactly when the circuit's noise_d > 0.
     """
 
     dt: float = 0.01
     divergence_bound: float = 1e3
-    seed: int = 0
     stride: int = 1
 
     def __post_init__(self):
@@ -147,7 +145,7 @@ def integrate(
 
     initial   (x1, x2, z) start state, z the initial drive phase
     program   LogicProgram, or None for I = 0
-    rng       noise generator; defaults to one seeded from config.seed
+    rng       noise generator, required when params.noise_d > 0
 
     Samples are taken every `config.stride` steps, always including
     the initial and final states. Raises DivergedError when the state
@@ -166,7 +164,7 @@ def integrate(
     step = _rk4_stepper(params, z0, h, params.bias, params.f)
     noisy = params.noise_d > 0
     if noisy and rng is None:
-        rng = np.random.default_rng(config.seed)
+        raise ConfigError("noisy run needs an rng")
     bound = config.divergence_bound
     noise_scale = math.sqrt(params.noise_d * h)
 

@@ -32,7 +32,9 @@ def grid_steps(duration: float, dt: float, name: str, minimum: int = 0) -> int:
     """Number of dt steps in duration, which must be a finite whole
     multiple of dt of at least `minimum` steps."""
     check_finite(name, duration)
-    n = round(duration / dt)
+    steps = duration / dt
+    check_finite(f"{name}/dt", steps)
+    n = round(steps)
     if n < minimum or abs(n * dt - duration) > 1e-9:
         raise ConfigError(
             f"{name}={duration} is not a multiple of dt={dt} "

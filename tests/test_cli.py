@@ -5,7 +5,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mlclogic.cli as cli
 from mlclogic.cli import main
 
 FAST = ["--transient", "1.0", "--bit-duration", "2.0"]
@@ -110,6 +113,8 @@ class TestGate:
             ["--bias", "nan"],
             ["--delta", "nan"],
             ["--divergence-bound", "nan"],
+            ["--transient", "1e308"],
+            ["--bit-duration", "1e308"],
         ):
             code = run(
                 ["gate", "--gate", "OR", "--n-bits", 1, "--out", tmp_path]
@@ -276,6 +281,28 @@ class TestDeterminism:
         )
         assert first == second
 
+    def test_phase_noisy_byte_identical(self, tmp_path):
+        args = (
+            ["phase", "--gate", "XOR", "--n-bits", 2, "--seed", 4]
+            + FAST
+            + ["--noise", "0.2"]
+        )
+        first, second = self.rerun(
+            tmp_path, args, ["phase.csv", "program.csv", "config.json"]
+        )
+        assert first == second
+
+    def test_latch_noisy_byte_identical(self, tmp_path):
+        args = (
+            ["latch", "--bits", "1,0,0,0,0,1", "--seed", 3]
+            + FAST
+            + ["--noise", "0.2"]
+        )
+        first, second = self.rerun(
+            tmp_path, args, ["latch.json", "program.csv", "config.json"]
+        )
+        assert first == second
+
     def test_gate_byte_identical(self, tmp_path):
         args = ["gate", "--gate", "OR", "--bits", "1,1,0,0", "--seed", 2]
         first, second = self.rerun(
@@ -291,6 +318,79 @@ class TestDeterminism:
         assert read_bytes(out1 / "program.csv") != read_bytes(
             out2 / "program.csv"
         )
+
+
+# Each subcommand on a tiny run: the config file sets one 0.5-long bit
+# with no transient, and a sweep has two points of one trial each. The
+# drawn values below never ask for more than a few hundred steps.
+FUZZ_BASE = {
+    "simulate": ["simulate", "--gate", "OR"],
+    "gate": ["gate", "--gate", "OR"],
+    "sweep": [
+        "sweep", "--gate", "OR", "--axis", "noise",
+        "--from", "0", "--to", "0.001", "--points", "2",
+    ],
+    "phase": ["phase", "--gate", "XOR"],
+    "latch": ["latch"],
+}
+FUZZ_FILE = {
+    "transient": 0, "bit_duration": 0.5, "n_bits": 1,
+    "sets": 1, "runs": 1, "bits_per_run": 1,
+}
+FUZZ_FLAGS = [
+    "--gate", "--seed", "--bias", "--forcing", "--noise", "--delta",
+    "--bit-duration", "--transient", "--dt", "--stride",
+    "--settle-fraction", "--agreement-threshold", "--divergence-bound",
+    "--n-bits", "--bits", "--axis", "--from", "--to", "--points",
+    "--sets", "--runs", "--bits-per-run",
+]
+FUZZ_FLAG_VALUES = [
+    "nan", "inf", "-inf", "1e308", "-1e308", "0", "-1", "0.5", "1", "2",
+    "abc", "", "1,0", "1,1", "OR", "SR_HIGH",
+]
+FUZZ_KEYS = [*cli._COMMON_KEYS, *cli._SWEEP_KEYS, *cli._RUN_KEYS]
+FUZZ_FILE_VALUES = [
+    float("nan"), float("inf"), float("-inf"), 1e308, -1e308, 0, -1, 0.5,
+    1, 2, "abc", "1,0", None, True, False, [1], {},
+]
+
+
+class TestFuzz:
+    """Any flag or config-file value ends in a documented exit code,
+    never in a traceback."""
+
+    @pytest.mark.parametrize("command", sorted(FUZZ_BASE))
+    def test_every_input_ends_in_an_exit_code(self, command, tmp_path_factory):
+        work = tmp_path_factory.mktemp(command)
+
+        @settings(max_examples=200, deadline=None, database=None)
+        @given(
+            flags=st.lists(
+                st.tuples(
+                    st.sampled_from(FUZZ_FLAGS),
+                    st.sampled_from(FUZZ_FLAG_VALUES),
+                ),
+                max_size=2,
+            ),
+            entries=st.dictionaries(
+                st.sampled_from(FUZZ_KEYS),
+                st.sampled_from(FUZZ_FILE_VALUES),
+                max_size=2,
+            ),
+        )
+        def check(flags, entries):
+            cfg = work / "run.json"
+            cfg.write_text(json.dumps({**FUZZ_FILE, **entries}))
+            argv = FUZZ_BASE[command] + ["--config", str(cfg)]
+            argv += [a for flag in flags for a in flag]
+            try:
+                code = main(argv + ["--out", str(work / "out")])
+            except SystemExit as exc:
+                code = exc.code
+            assert code in (0, 1, 2, 3), argv
+            assert code != 1 or command in ("gate", "latch"), argv
+
+        check()
 
 
 class TestEntryPoint:

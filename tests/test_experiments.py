@@ -342,6 +342,36 @@ class TestPhasePortrait:
         assert header == "x1,x2,bit_ch1,bit_ch2,bit_ch3"
 
 
+class TestNoiseGenerator:
+    """A noisy phase portrait or latch run draws only from the rng it
+    is handed, and refuses to run without one."""
+
+    def phase_run(self, rng):
+        prog = LogicProgram(channels=((1, 0), (1, 1)), **FAST)
+        params = gate_params("OR", noise_d=0.05)
+        return export_phase_portrait(prog, params, rng=rng).x2.tolist()
+
+    def latch_run(self, rng):
+        prog = LogicProgram(
+            channels=((1, 0), (0, 1)), combiner="DIFF2", delta=LATCH_DELTA,
+            **FAST,
+        )
+        # noise strong enough that two streams give different residences
+        params = gate_params("SR_HIGH", noise_d=2.0, delta=LATCH_DELTA)
+        return run_latch_experiment(prog, params, rng=rng).to_dict()
+
+    def test_noisy_run_needs_rng(self):
+        for run in (self.phase_run, self.latch_run):
+            with pytest.raises(ConfigError):
+                run(None)
+
+    def test_equal_seeds_reproduce_and_seeds_differ(self):
+        for run in (self.phase_run, self.latch_run):
+            first = run(np.random.default_rng(1))
+            assert run(np.random.default_rng(1)) == first
+            assert run(np.random.default_rng(2)) != first
+
+
 class TestXnorCalibration:
     def test_default_grid_brackets_the_packaged_band(self):
         best, table = calibrate_xnor_band(

@@ -185,6 +185,10 @@ class TestNoise:
         fresh = np.random.default_rng(0)
         assert rng.standard_normal() == fresh.standard_normal()
 
+    def test_noisy_run_needs_rng(self):
+        with pytest.raises(ConfigError):
+            integrate((0.1, 0.1, 0.0), CircuitParams(noise_d=0.2), None, 1.0)
+
     def test_same_seed_reproduces(self):
         p = CircuitParams(noise_d=0.2)
         t1 = integrate(

@@ -52,6 +52,8 @@ class TestBitStarts:
             (float("nan"), 2.0),
             (1.0, float("nan")),
             (1.0, float("inf")),
+            (1e308, 2.0),
+            (1.0, 1e308),
             (-1.0, 2.0),
             (1.0, 0.0),
         ):

@@ -30,6 +30,7 @@ from .experiments import (
     DESK_BITS_PER_RUN,
     DESK_N_RUNS,
     DESK_N_SETS,
+    SWEEP_AXES,
     export_phase_portrait,
     gate_params,
     program_delta,
@@ -38,7 +39,7 @@ from .experiments import (
     write_json,
 )
 from .integrator import DEFAULT_X0, IntegratorConfig, integrate
-from .params import check_count
+from .params import check_count, check_finite
 from .seeding import derive_seed
 from .signals import (
     COMBINER_ARITY,
@@ -55,67 +56,71 @@ EXIT_DIVERGED = 3
 
 _INTEGRATOR_DEFAULTS = IntegratorConfig()
 
-# Flat config-file keys shared by all subcommands. Values in the file
-# are overridden by flags given on the command line. None means the
-# gate's operating point decides; the snapshot records the result.
-_COMMON_KEYS = {
-    "out": ".",
-    "seed": 0,
-    "bias": None,
-    "forcing": None,
-    "noise": None,
-    "delta": None,
-    "bit_duration": DEFAULT_BIT_DURATION,
-    "transient": DEFAULT_TRANSIENT,
-    "dt": _INTEGRATOR_DEFAULTS.dt,
-    "stride": _INTEGRATOR_DEFAULTS.stride,
-    "settle_fraction": DEFAULT_SETTINGS.settle_fraction,
-    "agreement_threshold": DEFAULT_SETTINGS.agreement_threshold,
-    "divergence_bound": _INTEGRATOR_DEFAULTS.divergence_bound,
-    "n_bits": DESK_BITS_PER_RUN,
-    "bits": None,
+# Every setting, declared once: its default and its flag's argparse
+# keywords. Its config-file key is its name, and a file value must have
+# the flag's type, where an int also stands for a float, or be null if
+# the default is None. Flags win over the file, the file over the
+# default. A None bias, forcing, noise or delta means the gate's
+# operating point decides; the snapshot records the result.
+_SETTINGS = {
+    "out": (".", dict(help="output directory (default .)")),
+    "seed": (0, dict(type=int, help="top-level seed")),
+    "bias": (None, dict(type=float, help="constant bias E")),
+    "forcing": (None, dict(type=float, help="drive amplitude f")),
+    "noise": (None, dict(type=float, help="noise intensity D")),
+    "delta": (None, dict(type=float, help="logic encoding half-step")),
+    "bit_duration": (DEFAULT_BIT_DURATION, dict(type=float)),
+    "transient": (DEFAULT_TRANSIENT, dict(type=float)),
+    "dt": (_INTEGRATOR_DEFAULTS.dt, dict(type=float)),
+    "divergence_bound": (
+        _INTEGRATOR_DEFAULTS.divergence_bound, dict(type=float)
+    ),
+    "gate": (None, dict(required=True, help="gate registry name")),
+    "n_bits": (DESK_BITS_PER_RUN, dict(type=int)),
+    "bits": (None, dict(help="explicit program bits, flat comma list")),
+    "stride": (
+        _INTEGRATOR_DEFAULTS.stride, dict(type=int, help="keep every Nth step")
+    ),
+    "settle_fraction": (DEFAULT_SETTINGS.settle_fraction, dict(type=float)),
+    "agreement_threshold": (
+        DEFAULT_SETTINGS.agreement_threshold, dict(type=float)
+    ),
+    "axis": (None, dict(required=True, choices=SWEEP_AXES)),
+    "grid_from": (None, dict(type=float, required=True)),
+    "grid_to": (None, dict(type=float, required=True)),
+    "points": (None, dict(type=int, required=True)),
+    "sets": (DESK_N_SETS, dict(type=int)),
+    "runs": (DESK_N_RUNS, dict(type=int)),
+    "bits_per_run": (DESK_BITS_PER_RUN, dict(type=int)),
 }
+_FLAG_NAMES = {"grid_from": "--from", "grid_to": "--to"}
 
-_SWEEP_KEYS = {
-    "sets": DESK_N_SETS,
-    "runs": DESK_N_RUNS,
-    "bits_per_run": DESK_BITS_PER_RUN,
+_RUN = (
+    "out", "seed", "bias", "forcing", "noise", "delta", "bit_duration",
+    "transient", "dt", "divergence_bound",
+)
+_PROGRAM = ("n_bits", "bits")
+_DECODE = ("settle_fraction", "agreement_threshold")
+_SWEEP = (
+    "axis", "grid_from", "grid_to", "points", "sets", "runs", "bits_per_run",
+)
+
+# Each subcommand's help and the settings it runs: all it takes as flags
+# or config-file keys, and all its snapshot records.
+_COMMANDS = {
+    "simulate": (
+        "write one sampled trajectory", (*_RUN, "gate", *_PROGRAM, "stride")
+    ),
+    "gate": (
+        "score one program through a gate",
+        (*_RUN, "gate", *_PROGRAM, *_DECODE),
+    ),
+    "sweep": ("P(logic) along a grid", (*_RUN, "gate", *_DECODE, *_SWEEP)),
+    "phase": (
+        "export labeled phase samples", (*_RUN, "gate", *_PROGRAM, "stride")
+    ),
+    "latch": ("score the set-reset latch", (*_RUN, *_PROGRAM, *_DECODE)),
 }
-
-_RUN_KEYS = ("gate", "axis", "grid_from", "grid_to", "points")
-
-# Config-file values used as they stand: numbers are checked later.
-_FILE_TYPES = {
-    "seed": (int,), "bits": (str, type(None)), "out": (str,), "gate": (str,),
-}
-
-
-def _add_common(p: argparse.ArgumentParser, gate_required=True) -> None:
-    if gate_required:
-        p.add_argument("--gate", required=True, help="gate registry name")
-    p.add_argument("--config", help="JSON file with flat default settings")
-    p.add_argument("--out", help="output directory (default .)")
-    p.add_argument("--seed", type=int, help="top-level seed")
-    p.add_argument("--bias", type=float, help="constant bias E")
-    p.add_argument("--forcing", type=float, help="drive amplitude f")
-    p.add_argument("--noise", type=float, help="noise intensity D")
-    p.add_argument("--delta", type=float, help="logic encoding half-step")
-    p.add_argument("--bit-duration", type=float, dest="bit_duration")
-    p.add_argument("--transient", type=float)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--stride", type=int, help="sample every Nth step")
-    p.add_argument("--settle-fraction", type=float, dest="settle_fraction")
-    p.add_argument(
-        "--agreement-threshold", type=float, dest="agreement_threshold"
-    )
-    p.add_argument(
-        "--divergence-bound", type=float, dest="divergence_bound"
-    )
-    p.add_argument("--n-bits", type=int, dest="n_bits")
-    p.add_argument(
-        "--bits",
-        help="explicit program bits, flat comma list grouped per bit",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -127,37 +132,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"mlclogic {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sim = sub.add_parser("simulate", help="write one sampled trajectory")
-    _add_common(p_sim)
-
-    p_gate = sub.add_parser("gate", help="score one program through a gate")
-    _add_common(p_gate)
-
-    p_sweep = sub.add_parser("sweep", help="P(logic) along a grid")
-    _add_common(p_sweep)
-    p_sweep.add_argument(
-        "--axis", required=True, choices=("noise", "forcing")
-    )
-    p_sweep.add_argument(
-        "--from", dest="grid_from", type=float, required=True
-    )
-    p_sweep.add_argument("--to", dest="grid_to", type=float, required=True)
-    p_sweep.add_argument("--points", type=int, required=True)
-    p_sweep.add_argument("--sets", type=int)
-    p_sweep.add_argument("--runs", type=int)
-    p_sweep.add_argument("--bits-per-run", type=int, dest="bits_per_run")
-
-    p_phase = sub.add_parser("phase", help="export labeled phase samples")
-    _add_common(p_phase)
-
-    p_latch = sub.add_parser("latch", help="score the set-reset latch")
-    _add_common(p_latch, gate_required=False)
-
+    for command, (help_text, names) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="JSON file with flat default settings")
+        for name in names:
+            flag = _FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
+            p.add_argument(flag, dest=name, **_SETTINGS[name][1])
     return parser
 
 
-def _load_config_file(path) -> dict:
+def _load_config_file(path, names) -> dict:
     try:
         with open(path) as fh:
             loaded = json.load(fh)
@@ -165,27 +149,33 @@ def _load_config_file(path) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(loaded, dict):
         raise ConfigError(f"config {path} must hold a flat JSON object")
-    known = set(_COMMON_KEYS) | set(_SWEEP_KEYS) | set(_RUN_KEYS)
-    unknown = set(loaded) - known
+    unknown = set(loaded) - set(names)
     if unknown:
         raise ConfigError(
             f"unknown config keys: {', '.join(sorted(unknown))}"
         )
-    for key, kinds in _FILE_TYPES.items():
-        if key in loaded and type(loaded[key]) not in kinds:
+    for key, value in loaded.items():
+        default, flag = _SETTINGS[key]
+        kind = flag.get("type", str)
+        kinds = (int, float) if kind is float else (kind,)
+        if default is None:
+            kinds += (type(None),)
+        if type(value) not in kinds:
             raise ConfigError(f"config {key} has the wrong type")
     return loaded
 
 
-def _effective(args: argparse.Namespace, defaults=_COMMON_KEYS) -> dict:
-    """Merge defaults, config file, and explicit flags, in that order."""
-    settings = dict(defaults)
-    if getattr(args, "config", None):
-        settings.update(_load_config_file(args.config))
-    for key in [*settings, *_RUN_KEYS]:
-        val = getattr(args, key, None)
+def _effective(args: argparse.Namespace) -> dict:
+    """Merge defaults, config file, and explicit flags, in that order,
+    over the settings the subcommand runs."""
+    names = _COMMANDS[args.command][1]
+    settings = {name: _SETTINGS[name][0] for name in names}
+    if args.config:
+        settings.update(_load_config_file(args.config, names))
+    for name in names:
+        val = getattr(args, name)
         if val is not None:
-            settings[key] = val
+            settings[name] = val
     return settings
 
 
@@ -211,9 +201,11 @@ def _build_program(settings: dict, combiner: str) -> LogicProgram:
         bit_duration=settings["bit_duration"],
         transient=settings["transient"],
     )
-    if settings.get("bits"):
+    if settings["bits"] is not None:
         channels = _parse_bits(settings["bits"], COMBINER_ARITY[combiner])
-        return LogicProgram(channels=channels, **program_kw)
+        program = LogicProgram(channels=channels, **program_kw)
+        settings["n_bits"] = program.n_bits
+        return program
     return random_program(
         settings["n_bits"],
         seed=derive_seed(settings["seed"], "program", 0),
@@ -225,15 +217,15 @@ def _integrator_config(settings: dict) -> IntegratorConfig:
     return IntegratorConfig(
         dt=settings["dt"],
         divergence_bound=settings["divergence_bound"],
-        stride=settings["stride"],
+        stride=settings.get("stride", _INTEGRATOR_DEFAULTS.stride),
     )
 
 
-def _decode_settings(settings: dict) -> DecodeSettings:
-    return DecodeSettings(
-        settle_fraction=settings["settle_fraction"],
-        agreement_threshold=settings["agreement_threshold"],
-    )
+def _decode_settings(settings: dict) -> DecodeSettings | None:
+    """Decode settings, or None for a subcommand that decodes nothing."""
+    if "settle_fraction" not in settings:
+        return None
+    return DecodeSettings(**{name: settings[name] for name in _DECODE})
 
 
 def _write_snapshot(out_dir: Path, command: str, settings: dict) -> None:
@@ -303,12 +295,13 @@ def _run_gate(args) -> int:
 
 
 def _run_sweep(args) -> int:
-    settings = _effective(args, {**_COMMON_KEYS, **_SWEEP_KEYS})
+    settings = _effective(args)
     spec = gate_spec(settings["gate"])
     check_count("points", settings["points"])
-    values = np.linspace(
-        settings["grid_from"], settings["grid_to"], settings["points"]
-    )
+    lo, hi = settings["grid_from"], settings["grid_to"]
+    # a span past the float range would fill the grid with inf and nan
+    check_finite("the span from --from to --to", hi - lo)
+    values = np.linspace(lo, hi, settings["points"])
     base = _resolve_params(settings, spec)
     config = _integrator_config(settings)
     out_dir = _ensure_out(settings)

@@ -28,7 +28,7 @@ from .errors import (
     ForbiddenInputError,
 )
 from .params import check_finite
-from .signals import bit_starts
+from .signals import COMBINER_ARITY, bit_starts
 
 INDETERMINATE = None
 
@@ -116,7 +116,7 @@ class GateSpec:
 
     @property
     def n_inputs(self) -> int:
-        return 3 if self.combiner == "SUM3" else 2
+        return COMBINER_ARITY[self.combiner]
 
     def indicator(self):
         """Per-sample predicate as a callable (x1, x2) -> bool array."""

@@ -6,19 +6,23 @@ benchmark while every other test stays green, so this checks both
 against the package as it is. The tracer source is only read, never
 changed or cached. perfbench/workloads.py also reads each trial's
 final decode variable from the last DecodeRule.holds call of a sweep
-point, which the last two tests pin down.
+point, which two tests pin down, and calls the CLI with flags that the
+last test parses.
 """
 
+import importlib
 import inspect
+import sys
 import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mlclogic import decode, experiments, integrator
+from mlclogic import cli, decode, experiments, integrator
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER_PATH = PERFBENCH / "tracer.py"
 
 
 @pytest.fixture(scope="module")
@@ -107,3 +111,17 @@ def test_sweep_runs_one_batch_over_all_points(monkeypatch):
     assert args[1].shape == (2 * 2 * 3, 2)
     final = got["holds"][-1][0][1]
     assert np.array_equal(final, result.x1)
+
+
+def test_benchmark_cli_calls_parse(monkeypatch):
+    # import the workloads without writing bytecode under perfbench/
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    calls = list(workloads.PROBE_CALLS)
+    for seed in range(3):
+        calls += workloads.CliRuns().build(seed)[0]
+    parser = cli.build_parser()
+    for call in calls:
+        args = parser.parse_args(call.argv + ["--out", "unused"])
+        assert args.command == call.command

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -107,6 +108,7 @@ class TestGate:
         # errors, reported without a traceback
         for bad in (
             ["--bits", "1,0,1"],
+            ["--bits", ""],
             ["--dt", "nan"],
             ["--bit-duration", "inf"],
             ["--noise", "nan"],
@@ -165,18 +167,29 @@ class TestSweep:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["axis"] == "noise"
 
-    def test_bad_points_exit_two(self, tmp_path):
-        for grid in ([0.0, 1.0, 0], ["nan", "nan", 1]):
-            code = run(
-                [
-                    "sweep", "--gate", "OR", "--axis", "noise",
-                    "--from", grid[0], "--to", grid[1], "--points", grid[2],
-                    "--sets", 1, "--runs", 1, "--bits-per-run", 1,
-                    "--out", tmp_path,
-                ]
-            )
+    def test_bad_points_exit_two(self, tmp_path, capsys):
+        for grid in (
+            [0.0, 1.0, 0],
+            ["nan", "nan", 1],
+            ["-1e308", "1e308", 2],
+        ):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = run(
+                    [
+                        "sweep", "--gate", "OR", "--axis", "noise",
+                        f"--from={grid[0]}", "--to", grid[1],
+                        "--points", grid[2],
+                        "--sets", 1, "--runs", 1, "--bits-per-run", 1,
+                        "--out", tmp_path,
+                    ]
+                )
             assert code == 2, grid
             assert not (tmp_path / "report.csv").exists()
+            assert not [w for w in caught if w.category is RuntimeWarning]
+            err = capsys.readouterr().err
+        # the last span overflows: the message names the flags, not a nan
+        assert "--from" in err and "nan" not in err
 
 
 class TestPhase:
@@ -323,6 +336,7 @@ class TestDeterminism:
 # Each subcommand on a tiny run: the config file sets one 0.5-long bit
 # with no transient, and a sweep has two points of one trial each. The
 # drawn values below never ask for more than a few hundred steps.
+# Each subcommand gets the file's keys for the settings it runs.
 FUZZ_BASE = {
     "simulate": ["simulate", "--gate", "OR"],
     "gate": ["gate", "--gate", "OR"],
@@ -348,11 +362,16 @@ FUZZ_FLAG_VALUES = [
     "nan", "inf", "-inf", "1e308", "-1e308", "0", "-1", "0.5", "1", "2",
     "abc", "", "1,0", "1,1", "OR", "SR_HIGH",
 ]
-FUZZ_KEYS = [*cli._COMMON_KEYS, *cli._SWEEP_KEYS, *cli._RUN_KEYS]
+FUZZ_KEYS = list(cli._SETTINGS)
 FUZZ_FILE_VALUES = [
     float("nan"), float("inf"), float("-inf"), 1e308, -1e308, 0, -1, 0.5,
     1, 2, "abc", "1,0", None, True, False, [1], {},
 ]
+
+
+def fuzz_file(command):
+    names = cli._COMMANDS[command][1]
+    return {k: v for k, v in FUZZ_FILE.items() if k in names}
 
 
 class TestFuzz:
@@ -362,6 +381,12 @@ class TestFuzz:
     @pytest.mark.parametrize("command", sorted(FUZZ_BASE))
     def test_every_input_ends_in_an_exit_code(self, command, tmp_path_factory):
         work = tmp_path_factory.mktemp(command)
+        base_file = fuzz_file(command)
+        cfg = work / "run.json"
+        cfg.write_text(json.dumps(base_file))
+        # with no draws, the base runs: the draws below test runs too
+        argv = FUZZ_BASE[command] + ["--config", str(cfg)]
+        assert main(argv + ["--out", str(work / "out")]) in (0, 1)
 
         @settings(max_examples=200, deadline=None, database=None)
         @given(
@@ -379,8 +404,7 @@ class TestFuzz:
             ),
         )
         def check(flags, entries):
-            cfg = work / "run.json"
-            cfg.write_text(json.dumps({**FUZZ_FILE, **entries}))
+            cfg.write_text(json.dumps({**base_file, **entries}))
             argv = FUZZ_BASE[command] + ["--config", str(cfg)]
             argv += [a for flag in flags for a in flag]
             try:
@@ -391,6 +415,55 @@ class TestFuzz:
             assert code != 1 or command in ("gate", "latch"), argv
 
         check()
+
+
+class TestSettingsPerCommand:
+    """Each subcommand takes, checks and records only the settings it
+    runs."""
+
+    @pytest.mark.parametrize("command", sorted(FUZZ_BASE))
+    def test_snapshot_records_the_settings_run(self, command, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(fuzz_file(command)))
+        out = tmp_path / "out"
+        argv = FUZZ_BASE[command] + ["--config", cfg, "--out", out]
+        assert run(argv) in (0, 1)
+        snapshot = json.loads((out / "config.json").read_text())
+        names = cli._COMMANDS[command][1]
+        assert set(snapshot) == {*names, "command", "version"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gate", "--gate", "OR", "--n-bits", 1, "--stride", 2],
+            FUZZ_BASE["sweep"] + ["--sets", 1, "--runs", 1, "--n-bits", 3],
+        ],
+    )
+    def test_flag_not_run_exit_two(self, argv, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run(argv + FAST + ["--out", out])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_key_not_run_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"gate": "OR"}))
+        out = tmp_path / "out"
+        code = run(["latch", "--bits", "1,0", "--config", cfg, "--out", out])
+        assert code == 2
+        assert "gate" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bits_set_the_recorded_n_bits(self, tmp_path):
+        code = run(
+            ["gate", "--gate", "OR", "--bits", "1,0", "--n-bits", 7]
+            + FAST
+            + ["--out", tmp_path]
+        )
+        assert code in (0, 1)
+        snapshot = json.loads((tmp_path / "config.json").read_text())
+        assert snapshot["n_bits"] == 1
 
 
 class TestEntryPoint:

@@ -17,6 +17,7 @@ from .decode import (
     DecodeRule,
     DecodeSettings,
     GateSpec,
+    Indicator,
     TrialOutcome,
     decode_bit,
     gate_spec,
@@ -88,6 +89,7 @@ __all__ = [
     "GATES",
     "GateSpec",
     "INDETERMINATE",
+    "Indicator",
     "IntegratorConfig",
     "LATCH_DELTA",
     "LatchResult",

@@ -33,7 +33,6 @@ from .experiments import (
     SWEEP_AXES,
     export_phase_portrait,
     gate_params,
-    program_delta,
     run_latch_experiment,
     sweep,
     write_json,
@@ -236,8 +235,6 @@ def _write_snapshot(out_dir: Path, command: str, settings: dict) -> None:
 def _resolve_params(settings: dict, spec):
     """Build operating params and write the resolved values back so the
     config snapshot records what actually ran."""
-    if settings["delta"] is None:
-        settings["delta"] = program_delta(spec)
     params = gate_params(
         spec,
         bias=settings["bias"],
@@ -248,6 +245,7 @@ def _resolve_params(settings: dict, spec):
     settings["bias"] = params.bias
     settings["forcing"] = params.f
     settings["noise"] = params.noise_d
+    settings["delta"] = params.delta
     return params
 
 
@@ -313,7 +311,6 @@ def _run_sweep(args) -> int:
         n_sets=settings["sets"],
         n_runs_per_set=settings["runs"],
         bits_per_run=settings["bits_per_run"],
-        delta=settings["delta"],
         bit_duration=settings["bit_duration"],
         transient=settings["transient"],
         config=config,

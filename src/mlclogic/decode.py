@@ -87,8 +87,36 @@ class DecodeSettings:
         if not 0.5 < self.agreement_threshold <= 1:
             raise ConfigError("agreement_threshold must be in (0.5, 1]")
 
+    def settle_cut(self, n: int) -> int:
+        """How many leading samples of an n-sample bit window to drop.
+        Raises EmptySegmentError when none would be left."""
+        cut = round(n * self.settle_fraction)
+        if cut >= n:
+            raise EmptySegmentError("no samples left after settle trimming")
+        return cut
+
 
 DEFAULT_SETTINGS = DecodeSettings()
+
+
+@dataclass(frozen=True)
+class Indicator:
+    """The decode rule on one state variable, "x1" or "x2", as a
+    per-sample predicate (x1, x2) -> bool array.
+
+    Each call looks up rule.holds afresh, so a wrapper set on
+    DecodeRule.holds sees every call.
+    """
+
+    var: str
+    rule: DecodeRule
+
+    def __post_init__(self):
+        if self.var not in ("x1", "x2"):
+            raise ConfigError("decode variable must be 'x1' or 'x2'")
+
+    def __call__(self, x1, x2):
+        return self.rule.holds(x1 if self.var == "x1" else x2)
 
 
 @dataclass(frozen=True)
@@ -111,19 +139,15 @@ class GateSpec:
     combiner: str
 
     def __post_init__(self):
-        if self.decode_var not in ("x1", "x2"):
-            raise ConfigError("decode_var must be 'x1' or 'x2'")
+        self.indicator()  # checks decode_var
 
     @property
     def n_inputs(self) -> int:
         return COMBINER_ARITY[self.combiner]
 
-    def indicator(self):
-        """Per-sample predicate as a callable (x1, x2) -> bool array."""
-        rule = self.rule
-        if self.decode_var == "x1":
-            return lambda x1, x2: rule.holds(x1)
-        return lambda x1, x2: rule.holds(x2)
+    def indicator(self) -> Indicator:
+        """The gate's decode rule on its decode variable."""
+        return Indicator(self.decode_var, self.rule)
 
 
 _SIGN_POS = DecodeRule("SIGN_POS")
@@ -177,37 +201,28 @@ def oracle(kind: str, bits, prev_q=None) -> int:
     bits = tuple(int(b) for b in bits)
     if any(b not in (0, 1) for b in bits):
         raise ConfigError(f"bits must be 0 or 1, got {bits}")
-    kind = kind.upper()
-    if kind in ("OR", "NOR", "AND", "NAND", "XOR", "XNOR"):
-        _expect_arity(kind, bits, 2)
-        val = {
-            "OR": bits[0] | bits[1],
-            "NOR": 1 - (bits[0] | bits[1]),
-            "AND": bits[0] & bits[1],
-            "NAND": 1 - (bits[0] & bits[1]),
-            "XOR": bits[0] ^ bits[1],
-            "XNOR": 1 - (bits[0] ^ bits[1]),
-        }[kind]
-        return val
-    if kind == "OR3":
-        _expect_arity(kind, bits, 3)
-        return bits[0] | bits[1] | bits[2]
-    if kind == "AND3":
-        _expect_arity(kind, bits, 3)
-        return bits[0] & bits[1] & bits[2]
-    if kind == "SR_HIGH":
-        _expect_arity(kind, bits, 2)
+    spec = gate_spec(kind)
+    n = spec.n_inputs
+    if len(bits) != n:
+        raise ArityMismatchError(f"{spec.kind} takes {n} inputs, got {bits}")
+    if spec.kind == "SR_HIGH":
         return _sr_next(bits, prev_q)
-    if kind == "SR_LOW":
-        _expect_arity(kind, bits, 2)
+    if spec.kind == "SR_LOW":
         prev_high = None if prev_q is None else 1 - int(prev_q)
         return 1 - _sr_next(bits, prev_high)
-    raise ConfigError(f"unknown gate kind {kind!r}")
-
-
-def _expect_arity(kind: str, bits, n: int) -> None:
-    if len(bits) != n:
-        raise ArityMismatchError(f"{kind} expects {n} inputs, got {len(bits)}")
+    # the other gates are symmetric: only the count of 1 inputs matters
+    ones = sum(bits)
+    truth = {
+        "OR": ones > 0,
+        "NOR": ones == 0,
+        "AND": ones == n,
+        "NAND": ones < n,
+        "XOR": ones == 1,
+        "XNOR": ones != 1,
+        "OR3": ones > 0,
+        "AND3": ones == n,
+    }
+    return int(truth[spec.kind])
 
 
 def _sr_next(bits, prev_q) -> int:
@@ -242,10 +257,7 @@ def decode_bit(values, rule: DecodeRule, settings: DecodeSettings = DEFAULT_SETT
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
         raise ConfigError("decode_bit expects a 1-d sample array")
-    start = round(len(values) * settings.settle_fraction)
-    kept = values[start:]
-    if len(kept) == 0:
-        raise EmptySegmentError("no samples left after settle trimming")
+    kept = values[settings.settle_cut(len(values)) :]
     residence = float(np.mean(rule.holds(kept)))
     return decide(residence, settings.agreement_threshold), residence
 
@@ -398,7 +410,7 @@ def score_trial(
     )
     if len(traj) <= starts[-1]:
         raise EmptySegmentError("trajectory ends before the last bit")
-    values = traj.x1 if gate.decode_var == "x1" else traj.x2
+    values = getattr(traj, gate.indicator().var)
     residences = [
         decode_bit(values[lo + 1 : hi + 1], gate.rule, settings)[1]
         for lo, hi in zip(starts, starts[1:])

@@ -26,6 +26,7 @@ from .decode import (
     DecodeRule,
     DecodeSettings,
     GateSpec,
+    Indicator,
     TrialOutcome,
     decide,
     gate_spec,
@@ -92,21 +93,18 @@ def gate_params(
     noise_d: float | None = None,
     delta: float | None = None,
 ) -> CircuitParams:
-    """Circuit parameters at a gate's operating point, with overrides."""
+    """Circuit parameters at a gate's operating point, with overrides.
+    Its encoding step delta is LATCH_DELTA for the latch."""
     spec = gate_spec(gate) if isinstance(gate, str) else gate
+    if delta is None:
+        delta = LATCH_DELTA if spec.combiner == "DIFF2" else CANONICAL.delta
     return replace(
         CANONICAL,
         bias=spec.bias if bias is None else bias,
         f=spec.f if f is None else f,
         noise_d=CANONICAL.noise_d if noise_d is None else noise_d,
-        delta=CANONICAL.delta if delta is None else delta,
+        delta=delta,
     )
-
-
-def program_delta(gate: GateSpec, params: CircuitParams = CANONICAL) -> float:
-    """Logic encoding half-step for a gate's programs: LATCH_DELTA for
-    the latch, the circuit's delta otherwise."""
-    return LATCH_DELTA if gate.combiner == "DIFF2" else params.delta
 
 
 def write_json(path, obj: dict) -> None:
@@ -167,7 +165,6 @@ def _estimate_points(
     n_sets: int,
     n_runs_per_set: int,
     bits_per_run: int,
-    delta: float | None,
     bit_duration: float,
     transient: float,
     config: IntegratorConfig | None,
@@ -191,7 +188,7 @@ def _estimate_points(
             n_sets,
             bits_per_run,
             seed,
-            program_delta(spec, params) if delta is None else delta,
+            params.delta,
             bit_duration,
             transient,
         )
@@ -209,7 +206,7 @@ def _estimate_points(
         transient=transient,
         config=config,
         indicators=[spec.indicator()],
-        settle_fraction=settings.settle_fraction,
+        settings=settings,
         noise_seeds=noise_seeds,
     )
     res = result.residences[0]
@@ -246,7 +243,6 @@ def estimate_plogic(
     n_runs_per_set: int = DESK_N_RUNS,
     bits_per_run: int = DESK_BITS_PER_RUN,
     base_seed: int = 0,
-    delta: float | None = None,
     bit_duration: float = DEFAULT_BIT_DURATION,
     transient: float = DEFAULT_TRANSIENT,
     config: IntegratorConfig | None = None,
@@ -257,7 +253,8 @@ def estimate_plogic(
     Draws n_sets random programs and runs each with n_runs_per_set
     independent noise streams (one stream per trial; deterministic
     runs never consume draws). params defaults to the gate's canonical
-    operating point; pass explicit params to move it.
+    operating point; pass explicit params to move it. Programs encode
+    their bits at params.delta.
     """
     spec = gate_spec(gate) if isinstance(gate, str) else gate
     if params is None:
@@ -268,7 +265,6 @@ def estimate_plogic(
         n_sets=n_sets,
         n_runs_per_set=n_runs_per_set,
         bits_per_run=bits_per_run,
-        delta=delta,
         bit_duration=bit_duration,
         transient=transient,
         config=config,
@@ -321,7 +317,6 @@ def sweep(
     n_sets: int = DESK_N_SETS,
     n_runs_per_set: int = DESK_N_RUNS,
     bits_per_run: int = DESK_BITS_PER_RUN,
-    delta: float | None = None,
     bit_duration: float = DEFAULT_BIT_DURATION,
     transient: float = DEFAULT_TRANSIENT,
     config: IntegratorConfig | None = None,
@@ -358,7 +353,6 @@ def sweep(
         n_sets=n_sets,
         n_runs_per_set=n_runs_per_set,
         bits_per_run=bits_per_run,
-        delta=delta,
         bit_duration=bit_duration,
         transient=transient,
         config=config,
@@ -475,7 +469,7 @@ def run_latch_experiment(
             f"latch input (1,1) is forbidden (bits {bad})"
         )
     if params is None:
-        params = gate_params("SR_HIGH", delta=LATCH_DELTA)
+        params = gate_params("SR_HIGH")
     config = config if config is not None else IntegratorConfig()
     traj = integrate(
         DEFAULT_X0, params, program, program.end_time, config, rng=rng
@@ -516,19 +510,13 @@ def calibrate_xnor_band(
         transient,
     )
     levels = np.array([p.levels() for p in programs])
-
-    def band_indicator(theta):
-        rule = DecodeRule("BAND", -theta, theta)
-        return lambda x1, x2: rule.holds(x2)
-
     result = batch_bit_residences(
         params,
         levels,
         bit_duration=bit_duration,
         transient=transient,
         config=IntegratorConfig(),
-        indicators=[band_indicator(t) for t in grid],
-        settle_fraction=DEFAULT_SETTINGS.settle_fraction,
+        indicators=[Indicator("x2", DecodeRule("BAND", -t, t)) for t in grid],
     )
     expected = [oracle("XNOR", b) for p in programs for b in p.bit_tuples()]
     table = []

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .decode import DEFAULT_SETTINGS, DecodeSettings
 from .dynamics import drift_network
 from .errors import ConfigError, DivergedError
 from .params import CircuitParams, check_count, check_finite, derive_weights
@@ -256,7 +257,7 @@ def batch_bit_residences(
     transient: float,
     config: IntegratorConfig,
     indicators,
-    settle_fraction: float = 0.5,
+    settings: DecodeSettings = DEFAULT_SETTINGS,
     noise_seeds=None,
     x0=DEFAULT_X0,
 ) -> BatchResult:
@@ -266,6 +267,7 @@ def batch_bit_residences(
                   one per trial row
     levels        (n_trials, n_bits) combined drive levels per bit
     indicators    callables (x1, x2) -> bool array, scored per sample
+    settings      decode settings, whose settle cut trims each bit window
     noise_seeds   per-trial seeds, consumed only by trials with
                   noise_d > 0
 
@@ -279,17 +281,13 @@ def batch_bit_residences(
     if levels.ndim != 2 or levels.shape[1] < 1:
         raise ConfigError("levels must be 2-d (trials x bits), with a bit")
     n_tr, n_bits = levels.shape
-    if not 0 <= settle_fraction < 1:
-        raise ConfigError("settle_fraction must be in [0, 1)")
     shared, bias, famp, noise_d = _trial_columns(params, n_tr)
 
     h = config.dt
     starts = bit_starts(transient, bit_duration, h, n_bits)
     spb = starts[1] - starts[0]
-    settle_steps = round(spb * settle_fraction)
+    settle_steps = settings.settle_cut(spb)
     kept = spb - settle_steps
-    if kept < 1:
-        raise ConfigError("settle_fraction leaves no samples per bit")
     n_steps = starts[-1]
 
     step = _rk4_stepper(shared, float(x0[2]), h, bias, famp)

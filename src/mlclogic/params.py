@@ -17,11 +17,12 @@ from .errors import ConfigError
 
 def check_finite(name: str, value) -> None:
     """Raise ConfigError unless value is a finite real number."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, Real)
-        or not math.isfinite(value)
-    ):
+    ok = isinstance(value, Real) and not isinstance(value, bool)
+    try:
+        ok = ok and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        ok = False
+    if not ok:
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 

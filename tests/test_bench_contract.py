@@ -6,8 +6,8 @@ benchmark while every other test stays green, so this checks both
 against the package as it is. The tracer source is only read, never
 changed or cached. perfbench/workloads.py also reads each trial's
 final decode variable from the last DecodeRule.holds call of a sweep
-point, which two tests pin down, and calls the CLI with flags that the
-last test parses.
+point, which two tests pin down, times one batch call that another
+test runs, and calls the CLI with flags that the last test parses.
 """
 
 import importlib
@@ -111,6 +111,23 @@ def test_sweep_runs_one_batch_over_all_points(monkeypatch):
     assert args[1].shape == (2 * 2 * 3, 2)
     final = got["holds"][-1][0][1]
     assert np.array_equal(final, result.x1)
+
+
+def test_trace_probe_batch_call_runs():
+    # the batch call of perfbench/workloads.py::layer_probes, at 3 rows
+    # and a 10-step bit
+    for noise in (0.0, 0.002):
+        result = integrator.batch_bit_residences(
+            experiments.gate_params("OR", noise_d=noise),
+            np.zeros((3, 1)),
+            bit_duration=0.1,
+            transient=0.0,
+            config=integrator.IntegratorConfig(),
+            indicators=[decode.gate_spec("OR").indicator()],
+            noise_seeds=list(range(3)),
+        )
+        assert [r.shape for r in result.residences] == [(3, 1)]
+        assert result.x1.shape == result.diverged.shape == (3,)
 
 
 def test_benchmark_cli_calls_parse(monkeypatch):

@@ -255,6 +255,8 @@ class TestConfigFile:
             {"n_bits": 2.5},
             {"seed": "x"},
             {"bits": 5},
+            {"dt": 10**400},
+            {"bias": 10**400},
         ):
             cfg.write_text(json.dumps({**fast, **bad}))
             for command in ("simulate", "gate"):

@@ -14,6 +14,7 @@ from mlclogic import (
     ForbiddenInputError,
     GATES,
     INDETERMINATE,
+    Indicator,
     decode_bit,
     gate_spec,
     oracle,
@@ -321,6 +322,23 @@ class TestScoreResidences:
     def test_length_mismatch(self):
         with pytest.raises(ConfigError):
             score_residences(gate_spec("OR"), [(0, 0)], [0.5, 0.5])
+
+
+class TestIndicator:
+    def test_gate_indicator_is_a_value(self):
+        rng = np.random.default_rng(5)
+        x1, x2 = rng.normal(0.0, 2.0, size=(2, 200))
+        for spec in GATES.values():
+            ind = spec.indicator()
+            assert ind == spec.indicator()
+            assert hash(ind) == hash(spec.indicator())
+            assert (ind.var, ind.rule) == (spec.decode_var, spec.rule)
+            values = x1 if spec.decode_var == "x1" else x2
+            assert np.array_equal(ind(x1, x2), spec.rule.holds(values))
+
+    def test_unknown_variable(self):
+        with pytest.raises(ConfigError):
+            Indicator("x3", DecodeRule("SIGN_POS"))
 
 
 class TestRegistry:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import mlclogic.experiments as experiments
 from mlclogic import (
+    CANONICAL,
     ConfigError,
     ForbiddenInputError,
     IntegratorConfig,
@@ -134,6 +135,31 @@ class TestEstimatePlogic:
             **FAST,
         )
         assert est.trials == 2
+
+    def test_operating_point_carries_the_encoding_step(self):
+        assert gate_params("SR_HIGH").delta == LATCH_DELTA
+        assert gate_params("SR_LOW").delta == LATCH_DELTA
+        assert gate_params("OR").delta == CANONICAL.delta
+
+    def test_programs_drawn_at_params_delta(self, monkeypatch):
+        deltas = []
+        draw = experiments.random_program
+
+        def capture(*args, **kwargs):
+            deltas.append(kwargs["delta"])
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "random_program", capture)
+        for gate in ("SR_HIGH", "OR"):
+            estimate_plogic(
+                gate,
+                gate_params(gate, delta=0.1),
+                n_sets=2,
+                n_runs_per_set=1,
+                bits_per_run=2,
+                **FAST,
+            )
+        assert deltas == [0.1] * 4
 
 
 class TestSweep:

@@ -7,11 +7,14 @@ import mlclogic.integrator as integrator
 from mlclogic import (
     CircuitParams,
     ConfigError,
+    DecodeRule,
     DecodeSettings,
     DivergedError,
+    EmptySegmentError,
     IntegratorConfig,
     LogicProgram,
     batch_bit_residences,
+    decode_bit,
     derive_seed,
     drift_circuit,
     gate_params,
@@ -270,11 +273,28 @@ class TestBatchScalarConsistency:
                     transient=prog.transient,
                     config=IntegratorConfig(),
                     indicators=[gate.indicator()],
-                    settle_fraction=settle_fraction,
+                    settings=DecodeSettings(settle_fraction),
                 )
                 batch_res = result.residences[0][0]
                 scalar_res = [b.residence for b in scalar.bits]
                 assert list(batch_res) == scalar_res
+
+    def test_empty_window_raises_as_in_decode_bit(self):
+        # one step per bit: a 0.6 settle cut keeps none of its sample
+        settings = DecodeSettings(0.6)
+        with pytest.raises(EmptySegmentError) as scalar:
+            decode_bit(np.array([1.0]), DecodeRule("SIGN_POS"), settings)
+        with pytest.raises(EmptySegmentError) as batch:
+            batch_bit_residences(
+                gate_params("OR"),
+                np.zeros((1, 1)),
+                bit_duration=IntegratorConfig().dt,
+                transient=0.0,
+                config=IntegratorConfig(),
+                indicators=[gate_spec("OR").indicator()],
+                settings=settings,
+            )
+        assert str(batch.value) == str(scalar.value)
 
     def test_small_noise_buffer_draws_the_same_stream(self, monkeypatch):
         # a buffer refilled every 3 steps, the last fill partial, holds

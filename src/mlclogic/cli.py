@@ -74,7 +74,7 @@ _SETTINGS = {
     "divergence_bound": (
         _INTEGRATOR_DEFAULTS.divergence_bound, dict(type=float)
     ),
-    "gate": (None, dict(required=True, help="gate registry name")),
+    "gate": (None, dict(help="gate registry name")),
     "n_bits": (DESK_BITS_PER_RUN, dict(type=int)),
     "bits": (None, dict(help="explicit program bits, flat comma list")),
     "stride": (
@@ -84,15 +84,18 @@ _SETTINGS = {
     "agreement_threshold": (
         DEFAULT_SETTINGS.agreement_threshold, dict(type=float)
     ),
-    "axis": (None, dict(required=True, choices=SWEEP_AXES)),
-    "grid_from": (None, dict(type=float, required=True)),
-    "grid_to": (None, dict(type=float, required=True)),
-    "points": (None, dict(type=int, required=True)),
+    "axis": (None, dict(choices=SWEEP_AXES)),
+    "grid_from": (None, dict(type=float)),
+    "grid_to": (None, dict(type=float)),
+    "points": (None, dict(type=int)),
     "sets": (DESK_N_SETS, dict(type=int)),
     "runs": (DESK_N_RUNS, dict(type=int)),
     "bits_per_run": (DESK_BITS_PER_RUN, dict(type=int)),
 }
 _FLAG_NAMES = {"grid_from": "--from", "grid_to": "--to"}
+# Settings with no default: a subcommand that runs one needs its flag
+# or its config-file key.
+_REQUIRED = ("gate", "axis", "grid_from", "grid_to", "points")
 
 _RUN = (
     "out", "seed", "bias", "forcing", "noise", "delta", "bit_duration",
@@ -135,9 +138,12 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON file with flat default settings")
         for name in names:
-            flag = _FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
-            p.add_argument(flag, dest=name, **_SETTINGS[name][1])
+            p.add_argument(_flag(name), dest=name, **_SETTINGS[name][1])
     return parser
+
+
+def _flag(name: str) -> str:
+    return _FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
 
 
 def _load_config_file(path, names) -> dict:
@@ -161,6 +167,9 @@ def _load_config_file(path, names) -> dict:
             kinds += (type(None),)
         if type(value) not in kinds:
             raise ConfigError(f"config {key} has the wrong type")
+        choices = flag.get("choices")
+        if choices and value is not None and value not in choices:
+            raise ConfigError(f"config {key} must be one of {choices}")
     return loaded
 
 
@@ -175,6 +184,11 @@ def _effective(args: argparse.Namespace) -> dict:
         val = getattr(args, name)
         if val is not None:
             settings[name] = val
+    missing = [
+        _flag(n) for n in _REQUIRED if n in settings and settings[n] is None
+    ]
+    if missing:
+        raise ConfigError(f"missing required setting: {', '.join(missing)}")
     return settings
 
 

@@ -17,7 +17,7 @@ the mixed ones at a stronger drive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -121,14 +121,16 @@ class Indicator:
 
 @dataclass(frozen=True)
 class GateSpec:
-    """A gate: its oracle kind, operating point, and decode rule.
+    """A gate: its expected output, operating point, and decode rule.
 
-    kind          truth-table identifier, also the registry key
+    kind          gate identifier, also the registry key
     decode_var    which state variable carries the output ("x1"/"x2")
     rule          decode predicate on that variable
     bias          constant bias E the gate operates at
     f             sinusoidal drive amplitude the gate operates at
     combiner      how input channels combine into I(t)
+    truth         output for each count of 1 inputs; None for the
+                  latch, whose output threads its previous state
     """
 
     kind: str
@@ -137,6 +139,7 @@ class GateSpec:
     bias: float
     f: float
     combiner: str
+    truth: tuple | None
 
     def __post_init__(self):
         self.indicator()  # checks decode_var
@@ -152,32 +155,25 @@ class GateSpec:
 
 _SIGN_POS = DecodeRule("SIGN_POS")
 _SIGN_NEG = DecodeRule("SIGN_NEG")
+_IN_BAND = DecodeRule("BAND", -1.5, 1.5)
+_OUT_BAND = DecodeRule(
+    "BAND_COMPLEMENT", -XNOR_BAND_HALF_WIDTH, XNOR_BAND_HALF_WIDTH
+)
 
 GATES = {
-    "OR": GateSpec("OR", "x1", _SIGN_POS, 0.01, 0.1, "SUM2"),
-    "NOR": GateSpec("NOR", "x2", _SIGN_POS, 0.01, 0.1, "SUM2"),
-    "AND": GateSpec("AND", "x1", _SIGN_POS, -0.01, 0.1, "SUM2"),
-    "NAND": GateSpec("NAND", "x2", _SIGN_POS, -0.01, 0.1, "SUM2"),
-    "XOR": GateSpec(
-        "XOR", "x1", DecodeRule("BAND", -1.5, 1.5), 0.01, 0.16, "SUM2"
+    "OR": GateSpec("OR", "x1", _SIGN_POS, 0.01, 0.1, "SUM2", (0, 1, 1)),
+    "NOR": GateSpec("NOR", "x2", _SIGN_POS, 0.01, 0.1, "SUM2", (1, 0, 0)),
+    "AND": GateSpec("AND", "x1", _SIGN_POS, -0.01, 0.1, "SUM2", (0, 0, 1)),
+    "NAND": GateSpec("NAND", "x2", _SIGN_POS, -0.01, 0.1, "SUM2", (1, 1, 0)),
+    "XOR": GateSpec("XOR", "x1", _IN_BAND, 0.01, 0.16, "SUM2", (0, 1, 0)),
+    "XNOR": GateSpec("XNOR", "x2", _OUT_BAND, 0.01, 0.16, "SUM2", (1, 0, 1)),
+    "OR3": GateSpec("OR3", "x1", _SIGN_POS, 0.25, 0.1, "SUM3", (0, 1, 1, 1)),
+    "AND3": GateSpec(
+        "AND3", "x1", _SIGN_POS, -0.25, 0.1, "SUM3", (0, 0, 0, 1)
     ),
-    "XNOR": GateSpec(
-        "XNOR",
-        "x2",
-        DecodeRule(
-            "BAND_COMPLEMENT", -XNOR_BAND_HALF_WIDTH, XNOR_BAND_HALF_WIDTH
-        ),
-        0.01,
-        0.16,
-        "SUM2",
-    ),
-    "OR3": GateSpec("OR3", "x1", _SIGN_POS, 0.25, 0.1, "SUM3"),
-    "AND3": GateSpec("AND3", "x1", _SIGN_POS, -0.25, 0.1, "SUM3"),
-    "SR_HIGH": GateSpec("SR_HIGH", "x2", _SIGN_NEG, 0.0, 0.1, "DIFF2"),
-    "SR_LOW": GateSpec("SR_LOW", "x1", _SIGN_NEG, 0.0, 0.1, "DIFF2"),
+    "SR_HIGH": GateSpec("SR_HIGH", "x2", _SIGN_NEG, 0.0, 0.1, "DIFF2", None),
+    "SR_LOW": GateSpec("SR_LOW", "x1", _SIGN_NEG, 0.0, 0.1, "DIFF2", None),
 }
-
-LATCH_KINDS = ("SR_HIGH", "SR_LOW")
 
 
 def gate_spec(name: str) -> GateSpec:
@@ -193,10 +189,11 @@ def gate_spec(name: str) -> GateSpec:
 def oracle(kind: str, bits, prev_q=None) -> int:
     """Expected logic output for one input tuple.
 
-    For the latch kinds, prev_q is the gate's own previous output
-    (SR_HIGH threads Q, SR_LOW threads not-Q) and is required when the
-    input is the hold pair (0,0). The (1,1) pair is forbidden and
-    raises ForbiddenInputError.
+    A combinational gate reads its truth table at the count of 1
+    inputs. The latch kinds follow the set bit (SR_HIGH, output Q) or
+    the reset bit (SR_LOW, output not-Q); prev_q is the gate's own
+    previous output and is required when the input is the hold pair
+    (0,0). The (1,1) pair is forbidden and raises ForbiddenInputError.
     """
     bits = tuple(int(b) for b in bits)
     if any(b not in (0, 1) for b in bits):
@@ -205,37 +202,15 @@ def oracle(kind: str, bits, prev_q=None) -> int:
     n = spec.n_inputs
     if len(bits) != n:
         raise ArityMismatchError(f"{spec.kind} takes {n} inputs, got {bits}")
-    if spec.kind == "SR_HIGH":
-        return _sr_next(bits, prev_q)
-    if spec.kind == "SR_LOW":
-        prev_high = None if prev_q is None else 1 - int(prev_q)
-        return 1 - _sr_next(bits, prev_high)
-    # the other gates are symmetric: only the count of 1 inputs matters
-    ones = sum(bits)
-    truth = {
-        "OR": ones > 0,
-        "NOR": ones == 0,
-        "AND": ones == n,
-        "NAND": ones < n,
-        "XOR": ones == 1,
-        "XNOR": ones != 1,
-        "OR3": ones > 0,
-        "AND3": ones == n,
-    }
-    return int(truth[spec.kind])
-
-
-def _sr_next(bits, prev_q) -> int:
-    set_b, reset_b = bits
-    if set_b and reset_b:
+    if spec.truth is not None:
+        return spec.truth[sum(bits)]
+    if bits == (1, 1):
         raise ForbiddenInputError("latch input (1,1) is forbidden")
-    if set_b:
-        return 1
-    if reset_b:
-        return 0
-    if prev_q is None:
-        raise ConfigError("hold input (0,0) needs prev_q")
-    return int(prev_q)
+    if bits == (0, 0):
+        if prev_q is None:
+            raise ConfigError("hold input (0,0) needs prev_q")
+        return int(prev_q)
+    return bits[0] if spec.kind == "SR_HIGH" else bits[1]
 
 
 def decide(residence: float, threshold: float):
@@ -274,17 +249,6 @@ class BitOutcome:
     match: bool
     forbidden: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "bit_index": self.bit_index,
-            "inputs": list(self.inputs),
-            "expected": self.expected,
-            "decoded": self.decoded,
-            "residence": self.residence,
-            "match": self.match,
-            "forbidden": self.forbidden,
-        }
-
 
 @dataclass
 class TrialOutcome:
@@ -296,46 +260,30 @@ class TrialOutcome:
     diverged: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "gate": self.gate,
-            "success": self.success,
-            "diverged": self.diverged,
-            "n_bits": len(self.bits),
-            "bits": [b.to_dict() for b in self.bits],
-        }
+        return dict(asdict(self), n_bits=len(self.bits))
 
 
 def expected_outputs(kind: str, bit_tuples, first_decoded=None) -> list:
     """Oracle outputs for a whole program.
 
-    Latch kinds thread state across bits. The chain is anchored at the
-    gate's own first decoded output (first_decoded), since an absolute
-    initial latch state is not observable from outside; a leading hold
-    bit therefore matches whatever the circuit settled to, unless the
-    first bit fails to decode at all.
-
-    Forbidden (1,1) latch inputs yield expected = None at that position
-    and reset the thread anchor to the next decodable bit.
+    The output q threads from bit to bit, starting at the gate's own
+    first decoded output (first_decoded), since an absolute initial
+    latch state is not observable from outside; a leading latch hold
+    therefore matches whatever the circuit settled to, unless the first
+    bit fails to decode at all. A latch hold keeps q, and a forbidden
+    (1,1) latch input sets q to None until the next set or reset.
     """
-    kind = kind.upper()
-    if kind not in LATCH_KINDS:
-        return [oracle(kind, b) for b in bit_tuples]
+    spec = gate_spec(kind)
+    latch = spec.truth is None
     out = []
-    prev = None
-    for idx, bits in enumerate(bit_tuples):
-        try:
-            if prev is None and tuple(bits) == (0, 0):
-                anchor = first_decoded if idx == 0 else None
-                out.append(anchor)
-                prev = anchor
-                continue
-            val = oracle(kind, bits, prev)
-        except ForbiddenInputError:
-            out.append(None)
-            prev = None
-            continue
-        out.append(val)
-        prev = val
+    q = first_decoded
+    for bits in bit_tuples:
+        pair = tuple(bits)
+        if latch and pair == (1, 1):
+            q = None
+        elif not (latch and pair == (0, 0)):
+            q = oracle(spec.kind, bits, q)
+        out.append(q)
     return out
 
 
@@ -359,31 +307,24 @@ def score_residences(
     ]
     first = decoded[0] if decoded else None
     expected = expected_outputs(gate.kind, bit_tuples, first_decoded=first)
-    outcome = TrialOutcome(gate=gate.kind, success=True)
-    for idx, bits in enumerate(bit_tuples):
-        forbidden = (
-            gate.kind in LATCH_KINDS and tuple(bits) == (1, 1)
-        )
-        match = (
-            not forbidden
-            and decoded[idx] is not INDETERMINATE
-            and expected[idx] is not None
-            and decoded[idx] == expected[idx]
-        )
-        outcome.bits.append(
+    bits = []
+    rows = zip(bit_tuples, expected, decoded)
+    for idx, (pair, want, got) in enumerate(rows):
+        inputs = tuple(int(b) for b in pair)
+        bits.append(
             BitOutcome(
                 bit_index=idx,
-                inputs=tuple(int(b) for b in bits),
-                expected=expected[idx],
-                decoded=decoded[idx],
+                inputs=inputs,
+                expected=want,
+                decoded=got,
                 residence=float(residences[idx]),
-                match=match,
-                forbidden=forbidden,
+                match=want is not None and got == want,
+                forbidden=gate.truth is None and inputs == (1, 1),
             )
         )
-        if not match:
-            outcome.success = False
-    return outcome
+    return TrialOutcome(
+        gate=gate.kind, success=all(b.match for b in bits), bits=bits
+    )
 
 
 def score_trial(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import groupby
 
 import numpy as np
@@ -126,14 +126,7 @@ class PLogicEstimate:
     ci_hi: float
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "successes": self.successes,
-            "diverged": self.diverged,
-            "p_logic": self.p_logic,
-            "ci_lo": self.ci_lo,
-            "ci_hi": self.ci_hi,
-        }
+        return asdict(self)
 
 
 def _trial_programs(

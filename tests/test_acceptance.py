@@ -12,6 +12,7 @@ import time
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from mlclogic.cli import main as cli_main
 from mlclogic.decode import gate_spec, oracle, score_residences
@@ -103,6 +104,7 @@ def test_a01_network_drift_matches_circuit_drift(acceptance_log):
     assert ok, f"max drift difference {err:.3e}"
 
 
+@pytest.mark.slow
 def test_a02_or_and_nor_decode_in_parallel(acceptance_log):
     started = time.perf_counter()
     _, batch, out_or, out_nor = _paired_outcomes(
@@ -126,6 +128,7 @@ def test_a02_or_and_nor_decode_in_parallel(acceptance_log):
     assert ok
 
 
+@pytest.mark.slow
 def test_a03_bias_flip_morphs_or_into_and(acceptance_log):
     programs, batch, out_and, out_nand = _paired_outcomes(
         "AND", "NAND", n_trials=20, bits=20, base_seed=2001
@@ -165,6 +168,7 @@ def test_a03_bias_flip_morphs_or_into_and(acceptance_log):
     assert ok, "negative bias does not morph the gate at this drive phase"
 
 
+@pytest.mark.slow
 def test_a04_xor_band_and_xnor_complement(acceptance_log):
     _, batch, out_xor, out_xnor = _paired_outcomes(
         "XOR", "XNOR", n_trials=20, bits=20, base_seed=2002
@@ -188,6 +192,7 @@ def test_a04_xor_band_and_xnor_complement(acceptance_log):
     assert ok
 
 
+@pytest.mark.slow
 def test_a05_set_reset_latch_with_hold(acceptance_log):
     programs, batch, out_high, out_low = _paired_outcomes(
         "SR_HIGH", "SR_LOW", n_trials=20, bits=20, base_seed=2003
@@ -216,6 +221,7 @@ def test_a05_set_reset_latch_with_hold(acceptance_log):
     assert ok
 
 
+@pytest.mark.slow
 def test_a06_three_input_gates(acceptance_log):
     est_or = estimate_plogic(
         "OR3", n_sets=20, n_runs_per_set=1, bits_per_run=20, base_seed=2004
@@ -233,6 +239,7 @@ def test_a06_three_input_gates(acceptance_log):
     assert ok
 
 
+@pytest.mark.slow
 def test_a07_noise_robustness_profile(acceptance_log):
     grid = np.round(np.linspace(0.0, 1.0, 11), 10)
     started = time.perf_counter()
@@ -264,6 +271,7 @@ def test_a07_noise_robustness_profile(acceptance_log):
     assert ok, "no noise plateau at this amplitude convention"
 
 
+@pytest.mark.slow
 def test_a08_forcing_amplitude_windows(acceptance_log):
     def window(gate, grid, target, seed):
         report = sweep(

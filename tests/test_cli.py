@@ -266,6 +266,61 @@ class TestConfigFile:
                 assert code == 2, (command, bad)
                 assert next(iter(bad)) in capsys.readouterr().err
 
+    def test_file_supplies_the_gate(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "gate": "OR", "n_bits": 1,
+                    "transient": 1.0, "bit_duration": 1.0,
+                }
+            )
+        )
+        out = tmp_path / "out"
+        assert run(["gate", "--config", cfg, "--out", out]) in (0, 1)
+        snapshot = json.loads((out / "config.json").read_text())
+        assert snapshot["gate"] == "OR"
+
+    def test_file_supplies_the_sweep_grid(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "axis": "noise", "grid_from": 0, "grid_to": 0.001,
+                    "points": 2, "sets": 1, "runs": 1, "bits_per_run": 1,
+                    "transient": 1.0, "bit_duration": 1.0,
+                }
+            )
+        )
+        out = tmp_path / "out"
+        code = run(["sweep", "--gate", "OR", "--config", cfg, "--out", out])
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["axis"] == "noise"
+        assert len(report["points"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, entries, named",
+        [
+            (["gate"], {"gate": None}, "--gate"),
+            (
+                ["sweep", "--gate", "OR", "--from", 0, "--to", 1,
+                 "--points", 2],
+                {"axis": "diagonal"},
+                "axis",
+            ),
+        ],
+    )
+    def test_unset_or_bad_setting_writes_nothing(
+        self, argv, entries, named, tmp_path, capsys
+    ):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(entries))
+        out = tmp_path / "out"
+        assert run(argv + ["--config", cfg, "--out", out]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_exit_two(self, tmp_path):
         code = run(
             [

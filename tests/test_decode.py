@@ -1,5 +1,7 @@
 """Oracle truth tables, latch threading, and bit decoding."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,6 +58,16 @@ class TestTruthTables:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             oracle("NOPE", (0, 1))
+
+    def test_registry_truth_by_count_of_ones(self):
+        # the latch alone has no table: its output threads its state
+        for spec in GATES.values():
+            assert (spec.truth is None) == (spec.combiner == "DIFF2")
+            if spec.truth is None:
+                continue
+            assert len(spec.truth) == spec.n_inputs + 1, spec.kind
+            for bits in itertools.product((0, 1), repeat=spec.n_inputs):
+                assert oracle(spec.kind, bits) == spec.truth[sum(bits)]
 
 
 class TestOracleAlgebra:
@@ -175,6 +187,24 @@ class TestExpectedOutputs:
         seq = [(1, 0), (1, 1), (0, 0), (0, 1)]
         outs = expected_outputs("SR_HIGH", seq)
         assert outs == [1, None, None, 0]
+
+    @given(
+        seq=st.lists(st.sampled_from(PAIRS), max_size=8),
+        anchor=st.sampled_from([None, 0, 1]),
+    )
+    def test_latch_outputs_fold_and_complement(self, seq, anchor):
+        def flip(q):
+            return None if q is None else 1 - q
+
+        low = expected_outputs("SR_LOW", seq, anchor)
+        high = expected_outputs("SR_HIGH", seq, flip(anchor))
+        assert low == [flip(q) for q in high]
+        # set gives 1, reset 0, hold keeps q, a forbidden pair loses it
+        q, ref = anchor, []
+        for pair in seq:
+            q = {(1, 0): 1, (0, 1): 0, (0, 0): q, (1, 1): None}[pair]
+            ref.append(q)
+        assert expected_outputs("SR_HIGH", seq, anchor) == ref
 
 
 class TestDecodeRule:

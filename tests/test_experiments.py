@@ -1,6 +1,7 @@
 """P(logic) estimation, sweeps, the latch experiment, and intervals."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from mlclogic import (
     ForbiddenInputError,
     IntegratorConfig,
     LATCH_DELTA,
+    LatchResult,
+    PLogicEstimate,
     XNOR_BAND_HALF_WIDTH,
     LogicProgram,
     calibrate_xnor_band,
@@ -21,14 +24,17 @@ from mlclogic import (
     estimate_plogic,
     export_phase_portrait,
     gate_params,
+    gate_spec,
     integrate,
     random_program,
     run_latch_experiment,
+    score_residences,
     sweep,
     wilson_interval,
 )
 
 FAST = dict(bit_duration=2.0, transient=1.0)
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestWilsonInterval:
@@ -454,3 +460,35 @@ class TestProgramLevels:
         )
         levels = set(np.round(prog.levels(), 10))
         assert levels <= {-0.1, 0.0, 0.1}
+
+
+class TestFrozenSerialisation:
+    """The write_json text of each record type, byte for byte, as kept
+    in tests/golden. Nothing here is integrated, so the text does not
+    depend on the platform's libm."""
+
+    BITS = [(0, 0), (1, 0), (1, 1), (0, 0), (0, 1)]
+
+    def records(self):
+        # one indeterminate bit, one forbidden pair, a leading hold
+        high = score_residences(
+            gate_spec("SR_HIGH"), self.BITS, [0.95, 0.99, 0.97, 0.5, 0.02]
+        )
+        low = score_residences(
+            gate_spec("SR_LOW"), self.BITS, [0.05, 0.01, 0.03, 0.5, 0.98]
+        )
+        lo, hi = wilson_interval(7, 10)
+        estimate = PLogicEstimate(
+            trials=10, successes=7, diverged=0, p_logic=0.7, ci_lo=lo, ci_hi=hi
+        )
+        return {
+            "outcome.json": high.to_dict(),
+            "latch.json": LatchResult(high=high, low=low).to_dict(),
+            "estimate.json": estimate.to_dict(),
+        }
+
+    def test_write_json_text_is_frozen(self, tmp_path):
+        for name, record in self.records().items():
+            experiments.write_json(tmp_path / name, record)
+            text = (tmp_path / name).read_text()
+            assert text == (GOLDEN / name).read_text(), name

@@ -35,6 +35,7 @@ from .experiments import (
     gate_params,
     run_latch_experiment,
     sweep,
+    sweep_params,
     write_json,
 )
 from .integrator import DEFAULT_X0, IntegratorConfig, integrate
@@ -315,6 +316,7 @@ def _run_sweep(args) -> int:
     check_finite("the span from --from to --to", hi - lo)
     values = np.linspace(lo, hi, settings["points"])
     base = _resolve_params(settings, spec)
+    sweep_params(base, settings["axis"], values)  # checks the grid
     config = _integrator_config(settings)
     out_dir = _ensure_out(settings)
     report = sweep(

@@ -105,7 +105,10 @@ class Indicator:
     per-sample predicate (x1, x2) -> bool array.
 
     Each call looks up rule.holds afresh, so a wrapper set on
-    DecodeRule.holds sees every call.
+    DecodeRule.holds sees every call made through an indicator. The
+    compiled batch loop evaluates the rule itself on every sample of a
+    bit window but the last, which it scores through this call, so
+    such a wrapper sees one call per window and indicator there.
     """
 
     var: str

@@ -301,6 +301,24 @@ class PLogicReport:
 SWEEP_AXES = ("noise", "forcing")
 
 
+def sweep_params(base: CircuitParams, axis: str, values) -> list:
+    """The params of each sweep grid point: base with noise_d (axis
+    "noise") or f (axis "forcing") set to the value. Raises ConfigError
+    unless the values are finite, strictly increasing and valid there.
+    """
+    if axis not in SWEEP_AXES:
+        raise ConfigError(f"axis must be one of {SWEEP_AXES}")
+    values = [float(v) for v in values]
+    for v in values:
+        check_finite(f"{axis} grid value", v)
+    if len(values) < 1:
+        raise ConfigError("sweep needs at least one grid value")
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ConfigError("sweep values must be strictly increasing")
+    key = "noise_d" if axis == "noise" else "f"
+    return [replace(base, **{key: v}) for v in values]
+
+
 def sweep(
     gate,
     axis: str,
@@ -323,25 +341,15 @@ def sweep(
     with estimate_plogic.
     """
     spec = gate_spec(gate) if isinstance(gate, str) else gate
-    if axis not in SWEEP_AXES:
-        raise ConfigError(f"axis must be one of {SWEEP_AXES}")
-    values = [float(v) for v in values]
-    for v in values:
-        check_finite(f"{axis} grid value", v)
-    if len(values) < 1:
-        raise ConfigError("sweep needs at least one grid value")
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise ConfigError("sweep values must be strictly increasing")
-    base = gate_params(spec) if params is None else params
-    key = "noise_d" if axis == "noise" else "f"
+    values = list(values)
+    grid = sweep_params(
+        gate_params(spec) if params is None else params, axis, values
+    )
     points = _estimate_points(
         spec,
         [
-            (
-                replace(base, **{key: v}),
-                derive_seed(base_seed, "sweep", axis, i),
-            )
-            for i, v in enumerate(values)
+            (p, derive_seed(base_seed, "sweep", axis, i))
+            for i, p in enumerate(grid)
         ],
         n_sets=n_sets,
         n_runs_per_set=n_runs_per_set,
@@ -352,7 +360,10 @@ def sweep(
         settings=settings,
     )
     return PLogicReport(
-        gate=spec.kind, axis=axis, axis_values=values, points=points
+        gate=spec.kind,
+        axis=axis,
+        axis_values=[float(v) for v in values],
+        points=points,
     )
 
 

@@ -15,16 +15,29 @@ keeps the global error of the scheme cleanly fourth order in dt.
 One step function drives both the scalar path and the batched
 many-trial path, so a width-1 batch reproduces a scalar run bit for
 bit.
+
+Both stepping loops run in a small C kernel, `_kernel.c`, compiled on
+first use into the package's `__pycache__` and called through ctypes.
+It repeats `_rk4_stepper` operation by operation, so it returns what
+the numpy loops return, bit for bit. Those loops stay as the oracle
+and as the fallback: they run when the kernel cannot be built or
+loaded, and for batch indicators that are not `Indicator` values.
+`backend()` says which loops run, and why.
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import math
-from dataclasses import dataclass
+import os
+import shutil
+from dataclasses import astuple, dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .decode import DEFAULT_SETTINGS, DecodeSettings
+from .decode import DEFAULT_SETTINGS, RULE_KINDS, DecodeSettings, Indicator
 from .dynamics import drift_network
 from .errors import ConfigError, DivergedError
 from .params import CircuitParams, check_count, check_finite, derive_weights
@@ -36,8 +49,94 @@ DEFAULT_X0 = (0.1, 0.1, 0.0)
 # the unstable directions are slow enough that a trial cannot reach
 # overflow from the bound within one interval.
 _CHECK_INTERVAL = 200
-# Most normals a noisy batch holds at once: one buffer column per trial.
+# Most normals a noisy batch holds at once; the buffer is sized as if
+# every trial drew, and holds a row for each trial that does.
 _NOISE_VALUES = 1 << 20
+# Most steps of a scalar run's noise drawn at once.
+_SCALAR_CHUNK = 1 << 16
+
+_SOURCE = Path(__file__).with_name("_kernel.c")
+_CACHE = Path(__file__).with_name("__pycache__")
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+# the kernel as "lib", or None with the "reason", once loaded
+_loaded = {}
+
+
+def _build_kernel(cache: Path):
+    """Load the kernel from `cache`, compiling it there first if needed.
+
+    The library is named by the sha256 of the source and the flags. The
+    compiler writes a temporary file that is then renamed into place,
+    so processes that build at once do not clash. Returns (library,
+    None), or (None, reason) when it cannot be built or loaded.
+    """
+    import subprocess
+    import tempfile
+
+    try:
+        source = _SOURCE.read_bytes()
+    except OSError as exc:
+        return None, f"no kernel source: {exc}"
+    key = hashlib.sha256(source + " ".join(_CFLAGS).encode()).hexdigest()
+    path = cache / f"_kernel-{key[:16]}.so"
+    if not path.exists():
+        cc = shutil.which("cc")
+        if cc is None:
+            return None, "no C compiler: cc is not on PATH"
+        try:
+            cache.mkdir(exist_ok=True)
+            fd, tmp = tempfile.mkstemp(".so", ".kernel-", cache)
+            os.close(fd)
+        except OSError as exc:
+            return None, f"cannot write the kernel cache: {exc}"
+        try:
+            cmd = [cc, *_CFLAGS, "-o", tmp, str(_SOURCE), "-lm"]
+            proc = subprocess.run(cmd, capture_output=True, text=True)
+            if proc.returncode != 0:
+                err = (proc.stderr.strip().splitlines() or [""])[-1]
+                return None, f"cc exited {proc.returncode}: {err}"
+            os.replace(tmp, path)
+        except OSError as exc:
+            return None, f"cannot run cc: {exc}"
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    try:
+        lib = ctypes.CDLL(str(path))
+    except OSError as exc:
+        return None, f"cannot load the kernel: {exc}"
+    i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    lib.seg.argtypes = (
+        [i64] * 5 + [f64] * 3 + [ptr] * 7 + [f64]
+        + [ptr, i64, ptr, ptr] + [i64] * 3 + [ptr] * 5 + [i64] * 2
+    )
+    lib.seg.restype = None
+    lib.scal.argtypes = (
+        [i64] * 5 + [f64] * 3 + [ptr] + [f64] * 2 + [ptr] * 2 + [f64] * 2
+        + [ptr] * 2
+    )
+    lib.scal.restype = i64
+    return lib, None
+
+
+def _kernel():
+    """The compiled kernel, built on the first call, or None when the
+    numpy loops run instead."""
+    if not _loaded:
+        _loaded["lib"], _loaded["reason"] = _build_kernel(_CACHE)
+    return _loaded["lib"]
+
+
+def backend() -> str:
+    """Which stepping loops run: "C kernel", or "numpy: <reason>"."""
+    if _kernel() is not None:
+        return "C kernel"
+    return f"numpy: {_loaded['reason']}"
+
+
+def _weights(params: CircuitParams) -> np.ndarray:
+    """The cell-network weights in the kernel's order, CnnWeights'."""
+    return np.array(astuple(derive_weights(params)))
 
 
 @dataclass(frozen=True)
@@ -127,6 +226,30 @@ def _rk4_stepper(params: CircuitParams, z0: float, h: float, bias, famp):
     return step
 
 
+def _scalar_steps(
+    step, x, lo, hi, level, noise, n_steps, stride, last, scale, bound, o1, o2
+):
+    """Steps lo .. hi-1 of one run from state x: the loop that `scal` in
+    _kernel.c compiles, with the same arguments and result."""
+    x1, x2 = float(x[0]), float(x[1])
+    g = None if noise is None else noise.tolist()
+    j = -1
+    for i in range(lo, hi):
+        x1, x2 = step(x1, x2, i, level)
+        if g is not None:
+            x2 = x2 + scale * g[i - lo]
+        j = i + 1
+        if not (abs(x1) <= bound and abs(x2) <= bound):
+            break
+        if j == n_steps:
+            o1[last], o2[last] = x1, x2
+        elif j % stride == 0:
+            o1[j // stride], o2[j // stride] = x1, x2
+        j = -1
+    x[:] = x1, x2
+    return j
+
+
 def _segments(zero, levels, starts: list, end: int) -> list:
     """(level, lo, hi) runs of steps lo .. hi - 1: `zero` through the
     transient, then each bit at its level, the last held up to `end`."""
@@ -162,7 +285,6 @@ def integrate(
             program.transient, program.bit_duration, h, program.n_bits
         )
         segments = _segments(0.0, program.levels().tolist(), starts, n_steps)
-    step = _rk4_stepper(params, z0, h, params.bias, params.f)
     noisy = params.noise_d > 0
     if noisy and rng is None:
         raise ConfigError("noisy run needs an rng")
@@ -176,19 +298,31 @@ def integrate(
     out_x2 = np.empty_like(out_t)
     out_x1[0] = x1
     out_x2[0] = x2
-    idx = 1
+    x = np.array([x1, x2])
+    stride, last = config.stride, len(out_t) - 1
+    lib = _kernel()
+    if lib is None:
+        step = _rk4_stepper(params, z0, h, params.bias, params.f)
+    else:
+        w = _weights(params)
     for level, lo, hi in segments:
-        for i in range(lo, min(hi, n_steps)):
-            x1, x2 = step(x1, x2, i, level)
-            if noisy:
-                x2 = x2 + noise_scale * rng.standard_normal()
-            j = i + 1
-            if not (abs(x1) <= bound and abs(x2) <= bound):
-                raise DivergedError(j * h, float(x1), float(x2), bound)
-            if j % config.stride == 0 or j == n_steps:
-                out_x1[idx] = x1
-                out_x2[idx] = x2
-                idx += 1
+        for a in range(lo, min(hi, n_steps), _SCALAR_CHUNK):
+            b = min(a + _SCALAR_CHUNK, hi, n_steps)
+            noise = rng.standard_normal(b - a) if noisy else None
+            if lib is None:
+                j = _scalar_steps(
+                    step, x, a, b, level, noise, n_steps, stride, last,
+                    noise_scale, bound, out_x1, out_x2,
+                )
+            else:
+                j = lib.scal(
+                    a, b, n_steps, stride, last, z0, params.omega, h,
+                    w.ctypes, params.bias + level, params.f, x.ctypes,
+                    None if noise is None else noise.ctypes,
+                    noise_scale, bound, out_x1.ctypes, out_x2.ctypes,
+                )
+            if j >= 0:
+                raise DivergedError(j * h, float(x[0]), float(x[1]), bound)
 
     # each sample shows the input of the step that starts there
     cuts = np.searchsorted(out_t, [lo for _, lo, _ in segments]).tolist()
@@ -230,6 +364,18 @@ class BatchResult:
     x2: np.ndarray
 
 
+def _rule_columns(indicators):
+    """Each indicator's variable (0 for x1, 1 for x2), rule kind as its
+    index in RULE_KINDS, and band lo and hi, as the kernel reads them."""
+    rules = [q.rule for q in indicators]
+    return (
+        np.array([q.var == "x2" for q in indicators], dtype=np.int64),
+        np.array([RULE_KINDS.index(r.kind) for r in rules], dtype=np.int64),
+        np.array([r.lo or 0.0 for r in rules], dtype=float),
+        np.array([r.hi or 0.0 for r in rules], dtype=float),
+    )
+
+
 def _trial_columns(params, n_tr: int):
     """The CircuitParams whose circuit constants every trial shares,
     and per-trial bias, f and noise_d columns, from one CircuitParams
@@ -244,7 +390,7 @@ def _trial_columns(params, n_tr: int):
     if len({(p.a, p.b, p.nu, p.beta, p.omega, p.delta) for p in params}) > 1:
         raise ConfigError("batch trials may differ only in bias, f, noise_d")
     return shared, *(
-        np.array([getattr(p, name) for p in params])
+        np.array([getattr(p, name) for p in params], dtype=float)
         for name in ("bias", "f", "noise_d")
     )
 
@@ -266,7 +412,9 @@ def batch_bit_residences(
     params        one CircuitParams for every trial, or a sequence with
                   one per trial row
     levels        (n_trials, n_bits) combined drive levels per bit
-    indicators    callables (x1, x2) -> bool array, scored per sample
+    indicators    callables (x1, x2) -> bool array, scored per sample;
+                  when all are Indicator values the compiled kernel
+                  runs the batch, else the numpy loop does
     settings      decode settings, whose settle cut trims each bit window
     noise_seeds   per-trial seeds, consumed only by trials with
                   noise_d > 0
@@ -290,50 +438,92 @@ def batch_bit_residences(
     kept = spb - settle_steps
     n_steps = starts[-1]
 
-    step = _rk4_stepper(shared, float(x0[2]), h, bias, famp)
+    z0 = float(x0[2])
     bound = config.divergence_bound
-
     x1 = np.full(n_tr, float(x0[0]))
     x2 = np.full(n_tr, float(x0[1]))
-    res = [np.zeros((n_tr, n_bits)) for _ in indicators]
     alive = np.ones(n_tr, dtype=bool)
-    noisy = np.flatnonzero(noise_d > 0).tolist()
-    if noisy:
+    indicators = list(indicators)
+    res = np.zeros((len(indicators), n_tr, n_bits))
+    noisy = np.flatnonzero(noise_d > 0)
+    scale = np.sqrt(noise_d * h)
+    # one buffer row per noisy trial, refilled every `rows` steps;
+    # trials without noise add 0.0
+    buf, rows = None, n_steps
+    if len(noisy):
         if noise_seeds is None or len(noise_seeds) != n_tr:
             raise ConfigError("noisy batch needs one seed per trial")
-        noise_scale = np.sqrt(noise_d * h)
-        rngs = [(t, np.random.default_rng(noise_seeds[t])) for t in noisy]
+        rngs = [np.random.default_rng(noise_seeds[t]) for t in noisy]
         rows = min(n_steps, max(1, _NOISE_VALUES // n_tr))
-        # columns of trials without noise stay 0.0
-        noise = np.zeros((rows, n_tr))
-        noise_pos = rows
-    segments = _segments(np.zeros(n_tr), levels.T, starts, n_steps)
+        buf = np.empty((len(noisy), rows))
+
+    def numpy_steps(lev, a, b, count_from, count_to, k):
+        """Steps a .. b-1 of bit k: the loop that `seg` in _kernel.c
+        compiles."""
+        u1, u2 = x1, x2
+        for i in range(a, b):
+            u1, u2 = step(u1, u2, i, lev)
+            if buf is not None:
+                g = np.zeros(n_tr)
+                g[noisy] = buf[:, i % rows]
+                u2 = u2 + scale * g
+            j = i + 1
+            if j % _CHECK_INTERVAL == 0 or j == n_steps:
+                # NaN and inf fail the comparison too
+                bad = ~((np.abs(u1) <= bound) & (np.abs(u2) <= bound))
+                if bad.any():
+                    alive[bad] = False
+                    u1 = np.where(bad, 0.0, u1)
+                    u2 = np.where(bad, 0.0, u2)
+            if count_from <= i < count_to:
+                for q, indicator in enumerate(indicators):
+                    res[q, :, k] += indicator(u1, u2)
+        x1[:] = u1
+        x2[:] = u2
+
+    def kernel_steps(lev, a, b, count_from, count_to, k):
+        noise = None
+        if buf is not None:
+            noise = buf.ctypes.data + a % rows * buf.itemsize
+        lib.seg(
+            n_tr, a, b, n_steps, _CHECK_INTERVAL, z0, shared.omega, h,
+            w.ctypes, bias.ctypes, famp.ctypes, lev.ctypes, x1.ctypes,
+            x2.ctypes, alive.ctypes, bound, noise, rows, stream.ctypes,
+            scale.ctypes, count_from, count_to, len(indicators),
+            *(c.ctypes for c in rules), res.ctypes, n_bits, max(k, 0),
+        )
+
+    plain = all(type(q) is Indicator for q in indicators)
+    lib = _kernel() if plain else None
+    if lib is None:
+        steps = numpy_steps
+        step = _rk4_stepper(shared, z0, h, bias, famp)
+    else:
+        steps = kernel_steps
+        w = _weights(shared)
+        stream = np.full(n_tr, -1, dtype=np.int64)
+        stream[noisy] = np.arange(len(noisy))
+        rules = _rule_columns(indicators)
 
     with np.errstate(over="ignore", invalid="ignore"):
         # segment -1 is the transient, which is never counted
+        columns = np.ascontiguousarray(levels.T)
+        segments = _segments(np.zeros(n_tr), columns, starts, n_steps)
         for k, (lev, lo, hi) in enumerate(segments, -1):
             count_from = lo + settle_steps if k >= 0 else hi
-            for i in range(lo, hi):
-                x1, x2 = step(x1, x2, i, lev)
-                if noisy:
-                    if noise_pos == rows:
-                        m = min(rows, n_steps - i)
-                        for t, r in rngs:
-                            noise[:m, t] = r.standard_normal(m)
-                        noise_pos = 0
-                    x2 = x2 + noise_scale * noise[noise_pos]
-                    noise_pos += 1
-                j = i + 1
-                if j % _CHECK_INTERVAL == 0 or j == n_steps:
-                    # NaN and inf fail the comparison too
-                    bad = ~((np.abs(x1) <= bound) & (np.abs(x2) <= bound))
-                    if bad.any():
-                        alive &= ~bad
-                        x1 = np.where(bad, 0.0, x1)
-                        x2 = np.where(bad, 0.0, x2)
-                if i >= count_from:
-                    for q, indicator in enumerate(indicators):
-                        res[q][:, k] += indicator(x1, x2)
+            # split where the noise buffer refills
+            cuts = [lo, *range((lo // rows + 1) * rows, hi, rows), hi]
+            for a, b in zip(cuts, cuts[1:]):
+                if buf is not None and a % rows == 0 and a < b:
+                    m = min(rows, n_steps - a)
+                    for c, r in enumerate(rngs):
+                        r.standard_normal(out=buf[c, :m])
+                steps(lev, a, b, count_from, hi - 1, k)
+            # both loops leave the window's last sample to this call, so
+            # an indicator always sees the window's final state
+            if k >= 0:
+                for q, indicator in enumerate(indicators):
+                    res[q, :, k] += indicator(x1, x2)
 
     return BatchResult(
         residences=[r / kept for r in res],

@@ -6,8 +6,9 @@ benchmark while every other test stays green, so this checks both
 against the package as it is. The tracer source is only read, never
 changed or cached. perfbench/workloads.py also reads each trial's
 final decode variable from the last DecodeRule.holds call of a sweep
-point, which two tests pin down, times one batch call that another
-test runs, and calls the CLI with flags that the last test parses.
+point, which three tests pin down (on the numpy loops and on the
+compiled kernel), times one batch call that another test runs, and
+calls the CLI with flags that the last test parses.
 """
 
 import importlib
@@ -81,14 +82,35 @@ def capture_calls(monkeypatch):
     return got
 
 
-def test_last_decode_sees_the_final_state(monkeypatch):
+def one_bit_point(monkeypatch):
+    """Capture a one-bit OR point: its batch call and every holds call."""
     got = capture_calls(monkeypatch)
     experiments.estimate_plogic(
         "OR", n_sets=1, bits_per_run=1, bit_duration=2.0, transient=1.0
     )
+    return got
+
+
+def test_last_decode_sees_the_final_state(monkeypatch):
+    # the numpy loops, forced, score each sample through the indicator
+    monkeypatch.setattr(integrator, "_kernel", lambda: None)
+    got = one_bit_point(monkeypatch)
     [(_, result)] = got["batch_bit_residences"]
     # one call per counted step, the settled half of the bit's 200
     assert len(got["holds"]) == 100
+    final = got["holds"][-1][0][1]
+    assert final.shape == (experiments.DESK_N_RUNS,)
+    assert np.array_equal(final, result.x1)
+
+
+def test_kernel_decodes_each_window_end_in_python(monkeypatch):
+    if integrator._kernel() is None:
+        pytest.skip(integrator.backend())
+    got = one_bit_point(monkeypatch)
+    [(_, result)] = got["batch_bit_residences"]
+    # the kernel counts the rest of the window itself: one call per
+    # bit window and indicator, on the window's last sample
+    assert len(got["holds"]) == 1
     final = got["holds"][-1][0][1]
     assert final.shape == (experiments.DESK_N_RUNS,)
     assert np.array_equal(final, result.x1)

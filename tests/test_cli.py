@@ -191,6 +191,28 @@ class TestSweep:
         # the last span overflows: the message names the flags, not a nan
         assert "--from" in err and "nan" not in err
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            (("1", "0"), "strictly increasing"),
+            (("-1", "0"), "noise_d must be >= 0"),
+        ],
+    )
+    def test_rejected_grid_makes_no_directory(
+        self, tmp_path, capsys, grid, message
+    ):
+        out = tmp_path / "o5"
+        code = run(
+            [
+                "sweep", "--gate", "OR", "--axis", "noise",
+                f"--from={grid[0]}", "--to", grid[1], "--points", 2,
+                "--out", out,
+            ]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPhase:
     def test_writes_phase_csv(self, tmp_path):

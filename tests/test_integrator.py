@@ -11,6 +11,7 @@ from mlclogic import (
     DecodeSettings,
     DivergedError,
     EmptySegmentError,
+    Indicator,
     IntegratorConfig,
     LogicProgram,
     batch_bit_residences,
@@ -20,8 +21,10 @@ from mlclogic import (
     gate_params,
     gate_spec,
     integrate,
+    random_program,
     score_trial,
 )
+from mlclogic.experiments import DESK_BITS_PER_RUN
 
 QUIET = CircuitParams(bias=0.0, f=0.0)
 
@@ -421,3 +424,221 @@ class TestTrajectoryCsv:
         # 17 significant digits round-trip float64 exactly
         assert np.array_equal(data[:, 1], traj.x1)
         assert np.array_equal(data[:, 2], traj.x2)
+
+
+def on_both_backends(monkeypatch, run):
+    """run() with the compiled kernel, then with the numpy loops forced."""
+    if integrator._kernel() is None:
+        pytest.skip(integrator.backend())
+    kernel = run()
+    with monkeypatch.context() as m:
+        m.setattr(integrator, "_kernel", lambda: None)
+        fallback = run()
+    return kernel, fallback
+
+
+def assert_same_batch(a, b):
+    assert len(a.residences) == len(b.residences)
+    for p, q in zip(a.residences, b.residences):
+        assert np.array_equal(p, q)
+    assert np.array_equal(a.diverged, b.diverged)
+    assert a.x1.tobytes() == b.x1.tobytes()
+    assert a.x2.tobytes() == b.x2.tobytes()
+
+
+EVERY_RULE = [
+    Indicator(var, rule)
+    for var in ("x1", "x2")
+    for rule in (
+        DecodeRule("SIGN_POS"),
+        DecodeRule("SIGN_NEG"),
+        DecodeRule("BAND", -0.5, 1.05),
+        DecodeRule("BAND_COMPLEMENT", -0.5, 1.05),
+    )
+]
+
+
+class TestBackendParity:
+    """The compiled kernel returns what the numpy loops return, bit for
+    bit: residences, divergence flags, final states and trajectories."""
+
+    @pytest.mark.slow
+    def test_desk_program_deterministic_and_noisy(self, monkeypatch):
+        prog = random_program(DESK_BITS_PER_RUN, seed=1)
+        rows = [gate_params("OR"), gate_params("OR", noise_d=0.002)]
+
+        def run():
+            return batch_bit_residences(
+                rows,
+                np.array([prog.levels()] * 2),
+                bit_duration=prog.bit_duration,
+                transient=prog.transient,
+                config=IntegratorConfig(),
+                indicators=[gate_spec("OR").indicator()],
+                noise_seeds=[1, 2],
+            )
+
+        kernel, fallback = on_both_backends(monkeypatch, run)
+        assert_same_batch(kernel, fallback)
+        # the noisy row misdecodes some bits, so the rows differ
+        assert not np.array_equal(*kernel.residences[0])
+
+    def test_every_rule_kind_on_both_variables(self, monkeypatch):
+        seeds = [derive_seed(4, "noise", t) for t in range(len(MIXED_ROWS))]
+        kernel, fallback = on_both_backends(
+            monkeypatch,
+            lambda: batch_bit_residences(
+                MIXED_ROWS,
+                MIXED_LEVELS,
+                bit_duration=2.0,
+                transient=1.0,
+                config=IntegratorConfig(),
+                indicators=EVERY_RULE,
+                noise_seeds=seeds,
+            ),
+        )
+        assert_same_batch(kernel, fallback)
+        # each band, on either variable, holds on some samples only
+        for r in kernel.residences[2:4] + kernel.residences[6:]:
+            assert 0 < r.sum() < r.size
+
+    def test_xnor_calibration_bands(self, monkeypatch):
+        # the 62 bands calibrate_xnor_band scores
+        grid = np.round(np.arange(1.0, 1.61, 0.01), 10).tolist()
+        bands = [Indicator("x2", DecodeRule("BAND", -t, t)) for t in grid]
+        kernel, fallback = on_both_backends(
+            monkeypatch,
+            lambda: batch_bit_residences(
+                gate_params("XOR"),
+                np.array([[0.4, 0.0, -0.4], [0.0, 0.0, 0.4]]),
+                bit_duration=3.0,
+                transient=1.0,
+                config=IntegratorConfig(),
+                indicators=bands,
+            ),
+        )
+        assert len(bands) == 62
+        assert_same_batch(kernel, fallback)
+
+    def test_rules_at_their_edges(self, monkeypatch):
+        # undriven from the origin the state stays at exactly 0.0, on
+        # the closed edge of each band
+        edges = [
+            Indicator(var, DecodeRule(kind, lo, hi))
+            for var in ("x1", "x2")
+            for kind in ("BAND", "BAND_COMPLEMENT")
+            for lo, hi in ((0.0, 1.0), (-1.0, 0.0))
+        ]
+        kernel, fallback = on_both_backends(
+            monkeypatch,
+            lambda: batch_bit_residences(
+                QUIET,
+                np.zeros((1, 1)),
+                bit_duration=1.0,
+                transient=0.0,
+                config=IntegratorConfig(),
+                indicators=edges + EVERY_RULE,
+                x0=(0.0, 0.0, 0.0),
+            ),
+        )
+        assert_same_batch(kernel, fallback)
+        held = [float(r[0, 0]) for r in kernel.residences]
+        assert held == [1, 1, 0, 0] * 2 + [0, 0, 1, 0] * 2
+
+    # the last bound check falls after 6,300 steps, and after 150
+    @pytest.mark.parametrize("bit, transient", [(30.0, 3.0), (0.75, 0.0)])
+    def test_diverging_rows(self, monkeypatch, bit, transient):
+        # a large bias pushes rows 1 and 4 past the bound; row 4 is noisy
+        rows = [
+            gate_params("OR"),
+            CircuitParams(bias=5.0),
+            gate_params("OR", noise_d=0.002),
+        ] * 2
+        rows[4] = CircuitParams(bias=5.0, noise_d=0.01)
+        kernel, fallback = on_both_backends(
+            monkeypatch,
+            lambda: batch_bit_residences(
+                rows,
+                np.zeros((6, 2)),
+                bit_duration=bit,
+                transient=transient,
+                config=IntegratorConfig(divergence_bound=3.0),
+                indicators=EVERY_RULE[:3],
+                noise_seeds=list(range(6)),
+            ),
+        )
+        assert_same_batch(kernel, fallback)
+        assert kernel.diverged.tolist() == [0, 1, 0, 0, 1, 0]
+
+    @pytest.mark.parametrize("stride", [1, 3, 7])
+    @pytest.mark.parametrize("noise", [0.0, 0.01])
+    def test_integrate(self, monkeypatch, stride, noise):
+        prog = tiny_program(channels=((1, 0, 1), (0, 1, 1)))
+        kernel, fallback = on_both_backends(
+            monkeypatch,
+            lambda: integrate(
+                (0.1, 0.1, 0.0),
+                gate_params("OR", noise_d=noise),
+                prog,
+                prog.end_time + 0.5,
+                IntegratorConfig(stride=stride),
+                rng=np.random.default_rng(9),
+            ),
+        )
+        for name in ("t", "x1", "x2", "i_level", "f_det"):
+            assert getattr(kernel, name).tobytes() == getattr(
+                fallback, name
+            ).tobytes()
+
+    def test_diverging_integrate(self, monkeypatch):
+        def run():
+            with pytest.raises(DivergedError) as err:
+                integrate(
+                    (0.1, 0.1, 0.0),
+                    CircuitParams(bias=5.0, noise_d=0.01),
+                    None,
+                    40.0,
+                    IntegratorConfig(divergence_bound=3.0),
+                    rng=np.random.default_rng(2),
+                )
+            e = err.value
+            return e.t, e.x1, e.x2, e.bound, str(e)
+
+        kernel, fallback = on_both_backends(monkeypatch, run)
+        assert kernel == fallback
+
+    @pytest.mark.parametrize("cc", ["missing", "failing"])
+    def test_fallback_without_a_compiler(self, monkeypatch, tmp_path, cc):
+        prog = tiny_program()
+
+        def run():
+            traj = integrate(
+                (0.1, 0.1, 0.0),
+                gate_params("OR", noise_d=0.01),
+                prog,
+                prog.end_time,
+                rng=np.random.default_rng(3),
+            )
+            batch = mixed_batch(
+                MIXED_ROWS, MIXED_LEVELS, list(range(len(MIXED_ROWS)))
+            )
+            return traj, batch
+
+        traj, batch = run()
+        bin_dir = tmp_path / "bin"
+        bin_dir.mkdir()
+        if cc == "failing":
+            # a cc that writes part of its output, then fails
+            fake = bin_dir / "cc"
+            fake.write_text('#!/bin/sh\necho partial > "$6"\nexit 1\n')
+            fake.chmod(0o755)
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("PATH", str(bin_dir))
+        monkeypatch.setattr(integrator, "_CACHE", cache)
+        monkeypatch.setattr(integrator, "_loaded", {})
+        assert integrator.backend().startswith("numpy: ")
+        assert ("cc is not on PATH" in integrator.backend()) == (cc == "missing")
+        traj2, batch2 = run()
+        assert_same_batch(batch, batch2)
+        assert traj.x2.tobytes() == traj2.x2.tobytes()
+        assert not cache.exists() or not list(cache.iterdir())

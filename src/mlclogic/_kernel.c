@@ -6,13 +6,23 @@
    bit. That needs IEEE double arithmetic with nothing fused or
    reordered: build with
 
-       cc -O2 -ffp-contract=off -fPIC -shared -o kernel.so _kernel.c -lm
+       cc -O3 -ffp-contract=off -fPIC -shared -o kernel.so _kernel.c -lm
 
-   and never with -ffast-math. The weights w are the CnnWeights fields
-   in order: a1, s11, s12, s21, s22, i1. */
+   and never with -ffast-math or -march=native. The batch step `rows`
+   is vectorized across trial rows; each lane does the scalar code's
+   operations in its order, so SIMD changes no bit. On x86-64 it is
+   built for avx512f, avx2 and the baseline, and the loader picks the
+   best the CPU supports. The weights w are the CnnWeights fields in
+   order: a1, s11, s12, s21, s22, i1. */
 
 #include <math.h>
 #include <stdint.h>
+
+#if defined(__x86_64__) && defined(__GLIBC__)
+#define CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
+#else
+#define CLONES
+#endif
 
 /* decode rule kinds, in the order of mlclogic.decode.RULE_KINDS */
 enum { SIGN_POS, SIGN_NEG, BAND, BAND_COMPLEMENT };
@@ -63,6 +73,32 @@ static int holds(int kind, double v, double lo, double hi)
     }
 }
 
+/* The instruction set `rows` runs on: the first of its clones that
+   the CPU supports. */
+const char *isa(void)
+{
+#if defined(__x86_64__) && defined(__GLIBC__)
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f"))
+        return "avx512f";
+    if (__builtin_cpu_supports("avx2"))
+        return "avx2";
+#endif
+    return "default";
+}
+
+/* One RK4 step from step index i, whose drive sines are s, for trial
+   rows 0 .. n-1. */
+CLONES
+static void rows(int64_t n, const double *w, double h, const double *bias,
+                 const double *famp, const double *level, const double *s,
+                 double *restrict x1, double *restrict x2)
+{
+    for (int64_t t = 0; t < n; t++)
+        rk4(w, h, bias[t] + level[t], famp[t], s[0], s[1], s[2], &x1[t],
+            &x2[t]);
+}
+
 /* Steps lo .. hi-1 of n trial rows at drive levels `level`, step-outer
    and row-inner. When noise is not NULL, row t adds scale[t] times
    noise[stream[t]*ld + i - lo] to x2 after step i, or 0.0 when
@@ -84,28 +120,28 @@ void seg(int64_t n, int64_t lo, int64_t hi, int64_t n_steps, int64_t check,
     double s[3];
     for (int64_t i = lo; i < hi; i++) {
         sines(z0, omega, h, i, s);
-        int64_t j = i + 1;
-        int checked = j % check == 0 || j == n_steps;
-        int counted = i >= count_from && i < count_to;
-        for (int64_t t = 0; t < n; t++) {
-            double a = x1[t], b = x2[t];
-            rk4(w, h, bias[t] + level[t], famp[t], s[0], s[1], s[2], &a, &b);
-            if (noise) {
+        rows(n, w, h, bias, famp, level, s, x1, x2);
+        if (noise)
+            for (int64_t t = 0; t < n; t++) {
                 double g = stream[t] < 0 ? 0.0 : noise[stream[t] * ld + i - lo];
-                b = b + scale[t] * g;
+                x2[t] = x2[t] + scale[t] * g;
             }
-            if (checked && !(fabs(a) <= bound && fabs(b) <= bound)) {
-                alive[t] = 0;
-                a = 0.0;
-                b = 0.0;
+        int64_t j = i + 1;
+        if (j % check == 0 || j == n_steps)
+            for (int64_t t = 0; t < n; t++)
+                if (!(fabs(x1[t]) <= bound && fabs(x2[t]) <= bound)) {
+                    alive[t] = 0;
+                    x1[t] = 0.0;
+                    x2[t] = 0.0;
+                }
+        if (i >= count_from && i < count_to)
+            for (int64_t q = 0; q < nq; q++) {
+                const double *v = var[q] ? x2 : x1;
+                double *r = res + q * n * nbits + bit;
+                for (int64_t t = 0; t < n; t++)
+                    if (holds((int)kind[q], v[t], qlo[q], qhi[q]))
+                        r[t * nbits] += 1.0;
             }
-            x1[t] = a;
-            x2[t] = b;
-            if (counted)
-                for (int64_t q = 0; q < nq; q++)
-                    if (holds((int)kind[q], var[q] ? b : a, qlo[q], qhi[q]))
-                        res[(q * n + t) * nbits + bit] += 1.0;
-        }
     }
 }
 

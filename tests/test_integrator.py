@@ -156,7 +156,7 @@ class TestDivergence:
             bit_duration=400.0,
             transient=0.0,
             config=cfg,
-            indicators=[lambda x1, x2: x1 > 0],
+            indicators=[Indicator("x1", DecodeRule("SIGN_POS"))],
             x0=(0.1, 0.1, 0.0),
         )
         assert result.diverged.all()
@@ -570,6 +570,36 @@ class TestBackendParity:
         assert_same_batch(kernel, fallback)
         assert kernel.diverged.tolist() == [0, 1, 0, 0, 1, 0]
 
+    # every tail length of 2-, 4- and 8-lane row loops, and past them
+    @pytest.mark.parametrize("width", [*range(1, 18), 31, 33, 65])
+    def test_batch_widths(self, monkeypatch, width):
+        # rows cycle through quiet, noisy, a second drive amplitude and
+        # a noisy row that a large bias pushes past the bound
+        cycle = [
+            gate_params("OR"),
+            gate_params("OR", noise_d=0.003),
+            gate_params("OR", f=0.16),
+            CircuitParams(bias=5.0, noise_d=0.01),
+        ]
+        rows = [cycle[t % 4] for t in range(width)]
+        levels = np.array(
+            [[0.4 * ((t + b) % 3 - 1) for b in range(2)] for t in range(width)]
+        )
+        kernel, fallback = on_both_backends(
+            monkeypatch,
+            lambda: batch_bit_residences(
+                rows,
+                levels,
+                bit_duration=2.0,
+                transient=1.0,
+                config=IntegratorConfig(divergence_bound=3.0),
+                indicators=EVERY_RULE,
+                noise_seeds=[derive_seed(5, "noise", t) for t in range(width)],
+            ),
+        )
+        assert_same_batch(kernel, fallback)
+        assert kernel.diverged.tolist() == [t % 4 == 3 for t in range(width)]
+
     @pytest.mark.parametrize("stride", [1, 3, 7])
     @pytest.mark.parametrize("noise", [0.0, 0.01])
     def test_integrate(self, monkeypatch, stride, noise):
@@ -606,6 +636,24 @@ class TestBackendParity:
 
         kernel, fallback = on_both_backends(monkeypatch, run)
         assert kernel == fallback
+
+    def test_backend_names_the_instruction_set(self):
+        if integrator._kernel() is None:
+            pytest.skip(integrator.backend())
+        isa = integrator.backend().removeprefix("C kernel ")
+        assert isa in ("(avx512f)", "(avx2)", "(default)")
+
+    def test_build_flags_keep_ieee_arithmetic(self):
+        # bit identity needs nothing fused or reordered, and the cached
+        # library must load on any CPU of its architecture
+        assert "-ffp-contract=off" in integrator._CFLAGS
+        for flag in (
+            "-ffast-math",
+            "-Ofast",
+            "-funsafe-math-optimizations",
+            "-march=native",
+        ):
+            assert flag not in integrator._CFLAGS
 
     @pytest.mark.parametrize("cc", ["missing", "failing"])
     def test_fallback_without_a_compiler(self, monkeypatch, tmp_path, cc):

@@ -11,15 +11,18 @@
    and never with -ffast-math or -march=native. The batch step `rows`
    is vectorized across trial rows; each lane does the scalar code's
    operations in its order, so SIMD changes no bit. On x86-64 it is
-   built for avx512f, avx2 and the baseline, and the loader picks the
-   best the CPU supports. The weights w are the CnnWeights fields in
+   built for avx2 and for the baseline, and the loader picks avx2
+   when the CPU has it. The weights w are the CnnWeights fields in
    order: a1, s11, s12, s21, s22, i1. */
 
 #include <math.h>
 #include <stdint.h>
 
+/* On x86-64 `rows` is cloned for WIDE and for the baseline,
+   "default"; isa() reads the same name. */
 #if defined(__x86_64__) && defined(__GLIBC__)
-#define CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
+#define WIDE "avx2"
+#define CLONES __attribute__((target_clones(WIDE, "default")))
 #else
 #define CLONES
 #endif
@@ -40,9 +43,11 @@ static void drift(const double *w, double x1, double x2, double force,
 }
 
 /* One RK4 step; s1, s2, s4 are the drive sines at the step's start,
-   midpoint and end. */
-static void rk4(const double *w, double h, double base, double famp,
-                double s1, double s2, double s4, double *x1, double *x2)
+   midpoint and end. Inline, or gcc leaves it a call inside the row
+   loop of a build without clones, and that loop stays scalar. */
+static inline void rk4(const double *w, double h, double base, double famp,
+                       double s1, double s2, double s4, double *x1,
+                       double *x2)
 {
     double a1, b1, a2, b2, a3, b3, a4, b4;
     drift(w, *x1, *x2, base + famp * s1, &a1, &b1);
@@ -73,16 +78,12 @@ static int holds(int kind, double v, double lo, double hi)
     }
 }
 
-/* The instruction set `rows` runs on: the first of its clones that
-   the CPU supports. */
+/* The instruction set `rows` runs on: WIDE if the CPU supports it. */
 const char *isa(void)
 {
-#if defined(__x86_64__) && defined(__GLIBC__)
-    __builtin_cpu_init();
-    if (__builtin_cpu_supports("avx512f"))
-        return "avx512f";
-    if (__builtin_cpu_supports("avx2"))
-        return "avx2";
+#ifdef WIDE
+    if (__builtin_cpu_supports(WIDE))
+        return WIDE;
 #endif
     return "default";
 }

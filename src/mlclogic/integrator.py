@@ -23,6 +23,17 @@ the numpy loops return, bit for bit. Those loops stay as the oracle
 and as the fallback: they run when the kernel cannot be built or
 loaded, and for batch indicators that are not `Indicator` values.
 `backend()` says which loops run, and why.
+
+A noisy batch row draws its normals from `default_rng(seed)`. The
+kernel draws them itself, one per step: it carries each noisy row's
+PCG64 state, read from `PCG64(seed)`, and repeats numpy's ziggurat
+`standard_normal` with numpy's own tables, so the values are numpy's.
+The 128-bit state needs the compiler's `unsigned __int128`; without it
+the kernel does not compile and the numpy loops run. NEP 19 lets numpy
+change its stream, so before the kernel's first noisy batch 2**17 of
+its draws must equal numpy's bit for bit, or the numpy loops run from
+then on. Only those loops draw through a buffer. A noisy `integrate`
+draws through numpy on either backend.
 """
 
 from __future__ import annotations
@@ -49,9 +60,9 @@ DEFAULT_X0 = (0.1, 0.1, 0.0)
 # the unstable directions are slow enough that a trial cannot reach
 # overflow from the bound within one interval.
 _CHECK_INTERVAL = 200
-# Most normals a noisy batch holds at once; the buffer is sized as if
-# every trial drew, and holds a row for each trial that does. At 1 MB
-# it stays in L2 cache between the draws and the kernel's reads.
+# Most normals the numpy batch loop holds at once; its buffer is sized
+# as if every trial drew, and holds a row for each trial that does.
+# The kernel draws each normal when it adds it, and holds none.
 _NOISE_VALUES = 1 << 17
 # Most steps of a scalar run's noise drawn at once.
 _SCALAR_CHUNK = 1 << 16
@@ -59,8 +70,42 @@ _SCALAR_CHUNK = 1 << 16
 _SOURCE = Path(__file__).with_name("_kernel.c")
 _CACHE = Path(__file__).with_name("__pycache__")
 _CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
-# the kernel as "lib", or None with the "reason", once loaded
+# the kernel as "lib", or None with the "reason", once loaded, and
+# "checked" once its normals are
 _loaded = {}
+# The normals check's draws: from this seed, 2**17 normals take the
+# ziggurat's wedge path about 1,900 times and its tail path 42 times.
+_CHECK_SEED = 0
+_CHECK_DRAWS = 1 << 17
+_CHECK_BLOCK = 1 << 12
+_WORD = (1 << 64) - 1
+
+
+def _pcg_words(bit_generator) -> list:
+    """A PCG64's 128-bit state and increment as the kernel holds them:
+    the state's high and low 64-bit word, then the increment's."""
+    s = bit_generator.state["state"]
+    return [
+        s["state"] >> 64, s["state"] & _WORD, s["inc"] >> 64, s["inc"] & _WORD
+    ]
+
+
+def _check_normals(lib):
+    """None when the kernel's normals from PCG64(seed) equal numpy's
+    default_rng(seed).standard_normal, values and final state bit for
+    bit; else the reason."""
+    g = np.array(_pcg_words(np.random.PCG64(_CHECK_SEED)), dtype=np.uint64)
+    rng = np.random.default_rng(_CHECK_SEED)
+    # in blocks: one 2**17-value draw added 4 MB to peak memory
+    got, want = np.empty(_CHECK_BLOCK), np.empty(_CHECK_BLOCK)
+    same = True
+    for _ in range(_CHECK_DRAWS // _CHECK_BLOCK):
+        lib.normals(g.ctypes, _CHECK_BLOCK, got.ctypes)
+        rng.standard_normal(out=want)
+        same &= np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    if not same or g.tolist() != _pcg_words(rng.bit_generator):
+        return f"the kernel's normals differ from numpy {np.__version__}'s"
+    return None
 
 
 def _build_kernel(cache: Path):
@@ -94,7 +139,8 @@ def _build_kernel(cache: Path):
             cmd = [cc, *_CFLAGS, "-o", tmp, str(_SOURCE), "-lm"]
             proc = subprocess.run(cmd, capture_output=True, text=True)
             if proc.returncode != 0:
-                err = (proc.stderr.strip().splitlines() or [""])[-1]
+                lines = proc.stderr.strip().splitlines() or [""]
+                err = next((x for x in lines if "error" in x), lines[-1])
                 return None, f"cc exited {proc.returncode}: {err}"
             os.replace(tmp, path)
         except OSError as exc:
@@ -108,8 +154,8 @@ def _build_kernel(cache: Path):
         return None, f"cannot load the kernel: {exc}"
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     lib.seg.argtypes = (
-        [i64] * 5 + [f64] * 3 + [ptr] * 7 + [f64]
-        + [ptr, i64, ptr, ptr] + [i64] * 3 + [ptr] * 5 + [i64] * 2
+        [i64] * 5 + [f64] * 3 + [ptr] * 7 + [f64] + [ptr] * 3 + [i64] * 3
+        + [ptr] * 5 + [i64] * 2
     )
     lib.seg.restype = None
     lib.scal.argtypes = (
@@ -119,6 +165,8 @@ def _build_kernel(cache: Path):
     lib.scal.restype = i64
     lib.isa.argtypes = ()
     lib.isa.restype = ctypes.c_char_p
+    lib.normals.argtypes = (ptr, i64, ptr)
+    lib.normals.restype = None
     return lib, None
 
 
@@ -130,10 +178,29 @@ def _kernel():
     return _loaded["lib"]
 
 
+def _noise_kernel():
+    """_kernel(), once its normals have passed `_check_normals`.
+
+    The check runs on the first call, not when the kernel loads: it
+    imports numpy.random, about 2 MB of peak memory that a
+    deterministic run never needs. When it fails, the numpy loops run
+    from then on.
+    """
+    lib = _kernel()
+    if lib is not None and "checked" not in _loaded:
+        _loaded["checked"] = True
+        reason = _check_normals(lib)
+        if reason:
+            lib = _loaded["lib"] = None
+            _loaded["reason"] = reason
+    return lib
+
+
 def backend() -> str:
     """Which stepping loops run: "C kernel (<isa>)", with the instruction
-    set the batch step runs on, or "numpy: <reason>"."""
-    lib = _kernel()
+    set the batch step runs on, or "numpy: <reason>". It runs the
+    kernel's normals check if no noisy batch has yet."""
+    lib = _noise_kernel()
     if lib is not None:
         return f"C kernel ({lib.isa().decode()})"
     return f"numpy: {_loaded['reason']}"
@@ -452,15 +519,9 @@ def batch_bit_residences(
     res = np.zeros((len(indicators), n_tr, n_bits))
     noisy = np.flatnonzero(noise_d > 0)
     scale = np.sqrt(noise_d * h)
-    # one buffer row per noisy trial, refilled every `rows` steps;
-    # trials without noise add 0.0
-    buf, rows = None, n_steps
-    if len(noisy):
-        if noise_seeds is None or len(noise_seeds) != n_tr:
-            raise ConfigError("noisy batch needs one seed per trial")
-        rngs = [np.random.default_rng(noise_seeds[t]) for t in noisy]
-        rows = min(n_steps, max(1, _NOISE_VALUES // n_tr))
-        buf = np.empty((len(noisy), rows))
+    if len(noisy) and (noise_seeds is None or len(noise_seeds) != n_tr):
+        raise ConfigError("noisy batch needs one seed per trial")
+    seeds = [noise_seeds[t] for t in noisy]
 
     def numpy_steps(lev, a, b, count_from, count_to, k):
         """Steps a .. b-1 of bit k: the loop that `seg` in _kernel.c
@@ -469,6 +530,11 @@ def batch_bit_residences(
         for i in range(a, b):
             u1, u2 = step(u1, u2, i, lev)
             if buf is not None:
+                if i % rows == 0:
+                    m = min(rows, n_steps - i)
+                    for c, r in enumerate(rngs):
+                        r.standard_normal(out=buf[c, :m])
+                # trials without noise add 0.0
                 g = np.zeros(n_tr)
                 g[noisy] = buf[:, i % rows]
                 u2 = u2 + scale * g
@@ -487,25 +553,34 @@ def batch_bit_residences(
         x2[:] = u2
 
     def kernel_steps(lev, a, b, count_from, count_to, k):
-        noise = None
-        if buf is not None:
-            noise = buf.ctypes.data + a % rows * buf.itemsize
         lib.seg(
             n_tr, a, b, n_steps, _CHECK_INTERVAL, z0, shared.omega, h,
             w.ctypes, bias.ctypes, famp.ctypes, lev.ctypes, x1.ctypes,
-            x2.ctypes, alive.ctypes, bound, noise, rows, stream.ctypes,
-            scale.ctypes, count_from, count_to, len(indicators),
+            x2.ctypes, alive.ctypes, bound, pcg.ctypes if seeds else None,
+            stream.ctypes, scale.ctypes, count_from, count_to, len(indicators),
             *(c.ctypes for c in rules), res.ctypes, n_bits, max(k, 0),
         )
 
     plain = all(type(q) is Indicator for q in indicators)
-    lib = _kernel() if plain else None
+    lib = None
+    if plain:
+        lib = _noise_kernel() if seeds else _kernel()
     if lib is None:
         steps = numpy_steps
         step = _rk4_stepper(shared, z0, h, bias, famp)
+        # one buffer row per noisy trial, refilled every `rows` steps
+        buf, rows = None, n_steps
+        if seeds:
+            rngs = [np.random.default_rng(s) for s in seeds]
+            rows = min(n_steps, max(1, _NOISE_VALUES // n_tr))
+            buf = np.empty((len(seeds), rows))
     else:
         steps = kernel_steps
         w = _weights(shared)
+        # each noisy trial's PCG64 state, carried from step to step
+        pcg = np.array(
+            [_pcg_words(np.random.PCG64(s)) for s in seeds], dtype=np.uint64
+        )
         stream = np.full(n_tr, -1, dtype=np.int64)
         stream[noisy] = np.arange(len(noisy))
         rules = _rule_columns(indicators)
@@ -516,14 +591,7 @@ def batch_bit_residences(
         segments = _segments(np.zeros(n_tr), columns, starts, n_steps)
         for k, (lev, lo, hi) in enumerate(segments, -1):
             count_from = lo + settle_steps if k >= 0 else hi
-            # split where the noise buffer refills
-            cuts = [lo, *range((lo // rows + 1) * rows, hi, rows), hi]
-            for a, b in zip(cuts, cuts[1:]):
-                if buf is not None and a % rows == 0 and a < b:
-                    m = min(rows, n_steps - a)
-                    for c, r in enumerate(rngs):
-                        r.standard_normal(out=buf[c, :m])
-                steps(lev, a, b, count_from, hi - 1, k)
+            steps(lev, lo, hi, count_from, hi - 1, k)
             # both loops leave the window's last sample to this call, so
             # an indicator always sees the window's final state
             if k >= 0:

@@ -303,7 +303,9 @@ class TestBatchScalarConsistency:
 
     def test_small_noise_buffer_draws_the_same_stream(self, monkeypatch):
         # a buffer refilled every 3 steps, the last fill partial, holds
-        # the same normals as the default one
+        # the same normals as the default one; only the numpy loops
+        # have a buffer
+        monkeypatch.setattr(integrator, "_kernel", lambda: None)
         p = gate_params("OR", noise_d=0.3)
         prog = tiny_program()
 
@@ -390,6 +392,8 @@ class TestPerTrialParams:
         assert mixed.x2[1] != quiet.x2[1]
 
     def test_mixed_rows_with_small_noise_buffer(self, monkeypatch):
+        # only the numpy loops have a noise buffer
+        monkeypatch.setattr(integrator, "_kernel", lambda: None)
         seeds = [11, 12, 13, 14, 15]
         default = mixed_batch(MIXED_ROWS, MIXED_LEVELS, seeds)
         monkeypatch.setattr(integrator, "_NOISE_VALUES", 9)
@@ -703,3 +707,152 @@ class TestBackendParity:
         assert_same_batch(batch, batch2)
         assert traj.x2.tobytes() == traj2.x2.tobytes()
         assert not cache.exists() or not list(cache.iterdir())
+
+
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+WORD = (1 << 64) - 1
+# beyond this the ziggurat's values come from its tail path only
+TAIL_EDGE = 3.6541528853610088
+
+
+def unchecked_kernel():
+    """The kernel as it loads, before the normals check these tests
+    repeat, so that they fail where the check would fall back."""
+    lib, reason = integrator._build_kernel(integrator._CACHE)
+    if lib is None:
+        pytest.skip(reason)
+    return lib
+
+
+def kernel_normals(lib, bit_generator, n):
+    """n of the kernel's normals from bit_generator's state, which is
+    left as it was, and the kernel's state after them."""
+    g = np.array(integrator._pcg_words(bit_generator), dtype=np.uint64)
+    out = np.empty(n)
+    lib.normals(g.ctypes, n, out.ctypes)
+    return out, g.tolist()
+
+
+def pcg64_with_next_output(raw):
+    """A PCG64 whose next 64-bit output is raw."""
+    inc = 0x5851F42D4C957F2D14057B7EF767814F
+    # after the step the state is (hi, lo), and the output is
+    # hi ^ lo rotated right by hi's top six bits
+    hi = 0xA5A5A5A5A5A5A5A5
+    rot = hi >> 58
+    lo = hi ^ ((raw << rot | raw >> (64 - rot)) & WORD)
+    before = ((hi << 64 | lo) - inc) * pow(PCG64_MULTIPLIER, -1, 1 << 128)
+    bg = np.random.PCG64()
+    bg.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": before % (1 << 128), "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return bg
+
+
+class TestKernelNormals:
+    """The kernel's noise draws are numpy's default_rng standard
+    normals, value for value and state for state."""
+
+    def test_stream_equals_numpy(self):
+        lib = unchecked_kernel()
+        tail = 0
+        for seed in (1, 2, 2**40 + 3, derive_seed(7, "noise", 0)):
+            got, state = kernel_normals(lib, np.random.PCG64(seed), 1 << 19)
+            rng = np.random.default_rng(seed)
+            want = rng.standard_normal(1 << 19)
+            assert got.tobytes() == want.tobytes()
+            assert state == integrator._pcg_words(rng.bit_generator)
+            tail += int((np.abs(got) > TAIL_EDGE).sum())
+        # about 2.6e-4 of all draws, some 550 here
+        assert tail > 100
+
+    # the first output's low byte is the ziggurat layer, bit 8 the sign
+    # and bits 9-60 the value: layer 1 always leaves its rectangle for
+    # the wedge test, and layer 0's largest value lies in the tail
+    @pytest.mark.parametrize(
+        "raw, path",
+        [
+            (0x0123456789ABCD01, "wedge"),
+            (0xFEDCBA9876543201, "wedge"),
+            ((1 << 61) - (1 << 9), "tail"),
+            ((1 << 61) - (1 << 8), "tail"),
+        ],
+    )
+    def test_slow_paths(self, raw, path):
+        lib = unchecked_kernel()
+        assert pcg64_with_next_output(raw).random_raw() == raw
+        bg = pcg64_with_next_output(raw)
+        first, state = kernel_normals(lib, bg, 1)
+        got, _ = kernel_normals(lib, bg, 64)
+        rng = np.random.Generator(bg)
+        assert got.tobytes() == rng.standard_normal(64).tobytes()
+        assert got[0] == first[0]
+        # the first value drew more than its one 64-bit output
+        one = pcg64_with_next_output(raw)
+        one.advance(1)
+        assert state != integrator._pcg_words(one)
+        assert (abs(first[0]) > TAIL_EDGE) == (path == "tail")
+
+    def test_failed_check_runs_the_numpy_loops(self, monkeypatch):
+        unchecked_kernel()
+        seeds = [derive_seed(8, "noise", t) for t in range(len(MIXED_ROWS))]
+
+        def run():
+            return batch_bit_residences(
+                MIXED_ROWS,
+                MIXED_LEVELS,
+                bit_duration=2.0,
+                transient=1.0,
+                config=IntegratorConfig(),
+                indicators=EVERY_RULE,
+                noise_seeds=seeds,
+            )
+
+        kernel = run()
+        real = np.random.default_rng
+        monkeypatch.setattr(integrator, "_loaded", {})
+        with monkeypatch.context() as m:
+            # numpy's reference draws come from another seed
+            m.setattr(np.random, "default_rng", lambda seed: real(seed + 1))
+            assert integrator.backend() == (
+                "numpy: the kernel's normals differ from numpy "
+                f"{np.__version__}'s"
+            )
+        assert integrator._kernel() is None
+        assert_same_batch(kernel, run())
+
+    def test_state_carried_across_many_bits(self, monkeypatch):
+        # 13 segments of 30 steps each, so each noisy row's state passes
+        # through 13 calls of the kernel
+        prog = random_program(12, seed=4)
+        rows = [gate_params("OR", noise_d=d) for d in (0.0, 0.01, 0.02)] * 2
+        kernel, fallback = on_both_backends(
+            monkeypatch,
+            lambda: batch_bit_residences(
+                rows,
+                np.array([prog.levels()] * 6),
+                bit_duration=0.3,
+                transient=0.3,
+                config=IntegratorConfig(),
+                indicators=EVERY_RULE,
+                noise_seeds=[derive_seed(9, "noise", t) for t in range(6)],
+            ),
+        )
+        assert_same_batch(kernel, fallback)
+        # quiet rows repeat each other, noisy ones do not
+        assert kernel.x2[0] == kernel.x2[3]
+        assert len(set(kernel.x2[[1, 2, 4, 5]])) == 4
+
+    def test_without_int128_the_numpy_loops_run(self, monkeypatch, tmp_path):
+        if integrator.shutil.which("cc") is None:
+            pytest.skip("no C compiler")
+        flags = (*integrator._CFLAGS, "-U__SIZEOF_INT128__")
+        monkeypatch.setattr(integrator, "_CFLAGS", flags)
+        monkeypatch.setattr(integrator, "_CACHE", tmp_path)
+        monkeypatch.setattr(integrator, "_loaded", {})
+        reason = integrator.backend()
+        assert reason.startswith("numpy: cc exited ")
+        assert "the noise draws need unsigned __int128" in reason

@@ -96,7 +96,7 @@ def _check_normals(lib):
     bit; else the reason."""
     g = np.array(_pcg_words(np.random.PCG64(_CHECK_SEED)), dtype=np.uint64)
     rng = np.random.default_rng(_CHECK_SEED)
-    # in blocks: one 2**17-value draw added 4 MB to peak memory
+    # in blocks; drawn whole, the check raised peak memory by 4 MB
     got, want = np.empty(_CHECK_BLOCK), np.empty(_CHECK_BLOCK)
     same = True
     for _ in range(_CHECK_DRAWS // _CHECK_BLOCK):

@@ -561,9 +561,8 @@ def batch_bit_residences(
             *(c.ctypes for c in rules), res.ctypes, n_bits, max(k, 0),
         )
 
-    plain = all(type(q) is Indicator for q in indicators)
     lib = None
-    if plain:
+    if all(type(q) is Indicator for q in indicators):
         lib = _noise_kernel() if seeds else _kernel()
     if lib is None:
         steps = numpy_steps

@@ -741,11 +741,12 @@ def pcg64_with_next_output(raw):
     hi = 0xA5A5A5A5A5A5A5A5
     rot = hi >> 58
     lo = hi ^ ((raw << rot | raw >> (64 - rot)) & WORD)
-    before = ((hi << 64 | lo) - inc) * pow(PCG64_MULTIPLIER, -1, 1 << 128)
+    state = (hi << 64 | lo) - inc
+    state = state * pow(PCG64_MULTIPLIER, -1, 1 << 128) % (1 << 128)
     bg = np.random.PCG64()
     bg.state = {
         "bit_generator": "PCG64",
-        "state": {"state": before % (1 << 128), "inc": inc},
+        "state": {"state": state, "inc": inc},
         "has_uint32": 0,
         "uinteger": 0,
     }
@@ -789,7 +790,6 @@ class TestKernelNormals:
         got, _ = kernel_normals(lib, bg, 64)
         rng = np.random.Generator(bg)
         assert got.tobytes() == rng.standard_normal(64).tobytes()
-        assert got[0] == first[0]
         # the first value drew more than its one 64-bit output
         one = pcg64_with_next_output(raw)
         one.advance(1)

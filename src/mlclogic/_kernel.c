@@ -6,7 +6,8 @@
    bit. That needs IEEE double arithmetic with nothing fused or
    reordered: build with
 
-       cc -O3 -ffp-contract=off -fPIC -shared -o kernel.so _kernel.c -lm
+       cc -O3 -ffp-contract=off -fPIC -shared -pthread -o kernel.so \
+           _kernel.c -lm
 
    and never with -ffast-math or -march=native. The batch step `rows`
    is vectorized across trial rows; each lane does the scalar code's
@@ -16,10 +17,13 @@
    order: a1, s11, s12, s21, s22, i1.
 
    The batch's noise is drawn here too: numpy's PCG64 and its ziggurat
-   standard normal, draw for draw, which needs unsigned __int128. */
+   standard normal, draw for draw, which needs unsigned __int128. A
+   batch segment steps blocks of its rows on POSIX threads: see seg. */
 
 #include <math.h>
+#include <pthread.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 #ifndef __SIZEOF_INT128__
@@ -179,6 +183,180 @@ static void rows(int64_t n, const double *w, double h, const double *bias,
             &x2[t]);
 }
 
+/* The arguments of seg, for the rows that one thread steps. */
+struct block {
+    int64_t n, lo, hi, n_steps, check;
+    double z0, omega, h;
+    const double *w, *bias, *famp, *level;
+    double *x1, *x2;
+    uint8_t *alive;
+    double bound;
+    uint64_t *pcg;
+    const int64_t *stream;
+    const double *scale;
+    int64_t count_from, count_to, nq;
+    const int64_t *var, *kind;
+    const double *qlo, *qhi;
+    double *res;
+    int64_t nbits, bit;
+};
+
+/* seg's loop over the rows of the block at arg; a pthread start
+   routine. */
+static void *steps(void *arg)
+{
+    const struct block b = *(const struct block *)arg;
+    double s[3];
+    for (int64_t i = b.lo; i < b.hi; i++) {
+        sines(b.z0, b.omega, b.h, i, s);
+        rows(b.n, b.w, b.h, b.bias, b.famp, b.level, s, b.x1, b.x2);
+        if (b.pcg)
+            for (int64_t t = 0; t < b.n; t++) {
+                double g =
+                    b.stream[t] < 0 ? 0.0 : normal(b.pcg + 4 * b.stream[t]);
+                b.x2[t] = b.x2[t] + b.scale[t] * g;
+            }
+        int64_t j = i + 1;
+        if (j % b.check == 0 || j == b.n_steps)
+            for (int64_t t = 0; t < b.n; t++)
+                if (!(fabs(b.x1[t]) <= b.bound && fabs(b.x2[t]) <= b.bound)) {
+                    b.alive[t] = 0;
+                    b.x1[t] = 0.0;
+                    b.x2[t] = 0.0;
+                }
+        if (i >= b.count_from && i < b.count_to)
+            for (int64_t q = 0; q < b.nq; q++) {
+                const double *v = b.var[q] ? b.x2 : b.x1;
+                double *r = b.res + q * b.n * b.nbits + b.bit;
+                for (int64_t t = 0; t < b.n; t++)
+                    if (holds((int)b.kind[q], v[t], b.qlo[q], b.qhi[q]))
+                        r[t * b.nbits] += 1.0;
+            }
+    }
+    return NULL;
+}
+
+/* A block's private state: 64-byte aligned, so no two blocks share a
+   cache line. */
+#define LINE 64
+#define MAX_WORKERS 8
+
+static size_t private_bytes(int64_t n, int64_t nq)
+{
+    size_t bytes = (size_t)n * (8 * (7 + (size_t)nq) + 1);
+    return (bytes + LINE - 1) / LINE * LINE;
+}
+
+/* Points b, a copy of all, at rows a .. a+b->n-1: at the shared
+   read-only columns from row a, and at private copies, in mem, of the
+   rows' state, counts in column bit of res and PCG64 words. */
+static void stage(struct block *b, const struct block *all, int64_t a,
+                  char *mem)
+{
+    int64_t n = b->n, nq = all->nq;
+    uint64_t *pcg = (uint64_t *)mem;
+    int64_t *stream = (int64_t *)(pcg + 4 * n);
+    double *x1 = (double *)(stream + n), *x2 = x1 + n, *res = x2 + n;
+    uint8_t *alive = (uint8_t *)(res + nq * n);
+    int64_t m = 0;
+    for (int64_t t = 0; t < n; t++) {
+        int64_t k = all->pcg ? all->stream[a + t] : -1;
+        stream[t] = k >= 0 ? m++ : -1;
+        if (stream[t] >= 0)
+            memcpy(pcg + 4 * stream[t], all->pcg + 4 * k, 32);
+        for (int64_t q = 0; q < nq; q++)
+            res[q * n + t] =
+                all->res[(q * all->n + a + t) * all->nbits + all->bit];
+    }
+    memcpy(x1, all->x1 + a, 8 * n);
+    memcpy(x2, all->x2 + a, 8 * n);
+    memcpy(alive, all->alive + a, n);
+    b->bias = all->bias + a;
+    b->famp = all->famp + a;
+    b->level = all->level + a;
+    b->scale = all->scale + a;
+    b->stream = stream;
+    b->pcg = all->pcg ? pcg : NULL;
+    b->x1 = x1;
+    b->x2 = x2;
+    b->alive = alive;
+    b->res = res;
+    b->nbits = 1;
+    b->bit = 0;
+}
+
+/* Writes the private state of b, staged from rows a .. of all, back. */
+static void unstage(const struct block *b, const struct block *all,
+                    int64_t a)
+{
+    int64_t n = b->n;
+    for (int64_t t = 0; t < n; t++) {
+        int64_t k = all->pcg ? all->stream[a + t] : -1;
+        if (k >= 0)
+            memcpy(all->pcg + 4 * k, b->pcg + 4 * b->stream[t], 32);
+        for (int64_t q = 0; q < all->nq; q++)
+            all->res[(q * all->n + a + t) * all->nbits + all->bit] =
+                b->res[q * n + t];
+    }
+    memcpy(all->x1 + a, b->x1, 8 * n);
+    memcpy(all->x2 + a, b->x2, 8 * n);
+    memcpy(all->alive + a, b->alive, n);
+}
+
+/* A row's share of a block's cost: a noisy row steps at about half the
+   speed of a quiet one. */
+static int64_t cost(const struct block *all, int64_t t)
+{
+    return all->pcg && all->stream[t] >= 0 ? 2 : 1;
+}
+
+/* Steps the rows of `all` in `workers` contiguous blocks of about equal
+   cost, a noisy row costing two quiet ones, each on private copies of
+   its rows' state and in its own thread; the calling thread takes the
+   first block, and any block whose thread cannot start. Returns 0,
+   having stepped nothing, when the copies cannot be allocated. */
+static int in_blocks(const struct block *all, int64_t workers)
+{
+    struct block b[MAX_WORKERS];
+    pthread_t id[MAX_WORKERS];
+    int started[MAX_WORKERS] = {0};
+    int64_t edge[MAX_WORKERS + 1], total = 0, acc = 0, t = 0;
+    size_t off[MAX_WORKERS + 1] = {0};
+    for (int64_t r = 0; r < all->n; r++)
+        total += cost(all, r);
+    edge[0] = 0;
+    edge[workers] = all->n;
+    for (int64_t k = 1; k < workers; k++) {
+        while (t < all->n - (workers - k)
+               && (t <= edge[k - 1] || acc * workers < total * k))
+            acc += cost(all, t++);
+        edge[k] = t;
+    }
+    for (int64_t k = 0; k < workers; k++)
+        off[k + 1] = off[k] + private_bytes(edge[k + 1] - edge[k], all->nq);
+    void *mem;
+    if (posix_memalign(&mem, LINE, off[workers]))
+        return 0;
+    for (int64_t k = 0; k < workers; k++) {
+        b[k] = *all;
+        b[k].n = edge[k + 1] - edge[k];
+        stage(&b[k], all, edge[k], (char *)mem + off[k]);
+    }
+    for (int64_t k = 1; k < workers; k++)
+        started[k] = !pthread_create(&id[k], NULL, steps, &b[k]);
+    steps(&b[0]);
+    for (int64_t k = 1; k < workers; k++) {
+        if (started[k])
+            pthread_join(id[k], NULL);
+        else
+            steps(&b[k]);
+    }
+    for (int64_t k = 0; k < workers; k++)
+        unstage(&b[k], all, edge[k]);
+    free(mem);
+    return 1;
+}
+
 /* Steps lo .. hi-1 of n trial rows at drive levels `level`, step-outer
    and row-inner. When pcg is not NULL, row t adds scale[t] times a
    normal to x2 after step i, drawn from the PCG64 state
@@ -187,7 +365,15 @@ static void rows(int64_t n, const double *w, double h, const double *bias,
    row outside the bound is zeroed and its alive flag cleared. After
    each step i in count_from .. count_to-1, res[q][t][bit] of shape
    (nq, n, nbits) counts the samples where indicator q, rule kind[q]
-   on x1 (var[q] == 0) or x2, holds. */
+   on x1 (var[q] == 0) or x2, holds.
+
+   With workers > 1 the rows are split into up to `workers` (at most
+   MAX_WORKERS) blocks, stepped at once by in_blocks. Each block works
+   on private copies of its rows' x1, x2, alive, PCG64 words and
+   counts, written back after the join: where threads share those
+   arrays, the rows at a block edge share cache lines that both
+   threads write every step, and two threads ran no faster than one.
+   Rows never mix, so every result is the same at any worker count. */
 void seg(int64_t n, int64_t lo, int64_t hi, int64_t n_steps, int64_t check,
          double z0, double omega, double h, const double *w,
          const double *bias, const double *famp, const double *level,
@@ -195,34 +381,20 @@ void seg(int64_t n, int64_t lo, int64_t hi, int64_t n_steps, int64_t check,
          uint64_t *pcg, const int64_t *stream, const double *scale,
          int64_t count_from, int64_t count_to, int64_t nq,
          const int64_t *var, const int64_t *kind, const double *qlo,
-         const double *qhi, double *res, int64_t nbits, int64_t bit)
+         const double *qhi, double *res, int64_t nbits, int64_t bit,
+         int64_t workers)
 {
-    double s[3];
-    for (int64_t i = lo; i < hi; i++) {
-        sines(z0, omega, h, i, s);
-        rows(n, w, h, bias, famp, level, s, x1, x2);
-        if (pcg)
-            for (int64_t t = 0; t < n; t++) {
-                double g = stream[t] < 0 ? 0.0 : normal(pcg + 4 * stream[t]);
-                x2[t] = x2[t] + scale[t] * g;
-            }
-        int64_t j = i + 1;
-        if (j % check == 0 || j == n_steps)
-            for (int64_t t = 0; t < n; t++)
-                if (!(fabs(x1[t]) <= bound && fabs(x2[t]) <= bound)) {
-                    alive[t] = 0;
-                    x1[t] = 0.0;
-                    x2[t] = 0.0;
-                }
-        if (i >= count_from && i < count_to)
-            for (int64_t q = 0; q < nq; q++) {
-                const double *v = var[q] ? x2 : x1;
-                double *r = res + q * n * nbits + bit;
-                for (int64_t t = 0; t < n; t++)
-                    if (holds((int)kind[q], v[t], qlo[q], qhi[q]))
-                        r[t * nbits] += 1.0;
-            }
-    }
+    struct block all = {
+        n, lo, hi, n_steps, check, z0, omega, h, w, bias, famp, level,
+        x1, x2, alive, bound, pcg, stream, scale, count_from, count_to,
+        nq, var, kind, qlo, qhi, res, nbits, bit,
+    };
+    if (workers > MAX_WORKERS)
+        workers = MAX_WORKERS;
+    if (workers > n)
+        workers = n;
+    if (workers < 2 || !in_blocks(&all, workers))
+        steps(&all);
 }
 
 /* Steps lo .. hi-1 of one trial from state x[0..1], with base the bias

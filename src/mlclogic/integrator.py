@@ -66,10 +66,16 @@ _CHECK_INTERVAL = 200
 _NOISE_VALUES = 1 << 17
 # Most steps of a scalar run's noise drawn at once.
 _SCALAR_CHUNK = 1 << 16
+# Threads a kernel batch segment steps its rows on, one per usable core
+# up to 8. A segment of fewer trial-steps (rows x steps) than
+# _THREAD_MIN runs on one: starting threads then costs more than they
+# gain.
+_WORKERS = min(len(os.sched_getaffinity(0)), 8)
+_THREAD_MIN = 1 << 16
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
 _CACHE = Path(__file__).with_name("__pycache__")
-_CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+_CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared", "-pthread")
 # the kernel as "lib", or None with the "reason", once loaded, and
 # "checked" once its normals are
 _loaded = {}
@@ -155,7 +161,7 @@ def _build_kernel(cache: Path):
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     lib.seg.argtypes = (
         [i64] * 5 + [f64] * 3 + [ptr] * 7 + [f64] + [ptr] * 3 + [i64] * 3
-        + [ptr] * 5 + [i64] * 2
+        + [ptr] * 5 + [i64] * 3
     )
     lib.seg.restype = None
     lib.scal.argtypes = (
@@ -197,12 +203,14 @@ def _noise_kernel():
 
 
 def backend() -> str:
-    """Which stepping loops run: "C kernel (<isa>)", with the instruction
-    set the batch step runs on, or "numpy: <reason>". It runs the
-    kernel's normals check if no noisy batch has yet."""
+    """Which stepping loops run: "C kernel (<isa>, <n> workers)", with
+    the instruction set the batch step runs on and the threads a batch
+    steps its rows on, or "numpy: <reason>". It runs the kernel's
+    normals check if no noisy batch has yet."""
     lib = _noise_kernel()
     if lib is not None:
-        return f"C kernel ({lib.isa().decode()})"
+        workers = f"{_WORKERS} worker" + "s" * (_WORKERS != 1)
+        return f"C kernel ({lib.isa().decode()}, {workers})"
     return f"numpy: {_loaded['reason']}"
 
 
@@ -467,6 +475,29 @@ def _trial_columns(params, n_tr: int):
     )
 
 
+def _distinct_rows(bias, famp, noise_d, levels):
+    """The rows a kernel batch steps, in first-occurrence order, and for
+    every row the index among them of the row whose result it takes.
+
+    A quiet row (noise_d 0) whose bias, f and levels have the bytes of
+    an earlier quiet row's takes that row's result; every other row
+    steps itself. (None, None) when no row repeats another.
+    """
+    keys = np.column_stack([bias, famp, levels])
+    keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))
+    first, keep, inverse = {}, [], []
+    for t, (key, noisy) in enumerate(zip(keys.ravel().tolist(), noise_d > 0)):
+        if noisy:
+            key = t
+        if key not in first:
+            first[key] = len(keep)
+            keep.append(t)
+        inverse.append(first[key])
+    if len(keep) == len(inverse):
+        return None, None
+    return np.array(keep), np.array(inverse)
+
+
 def batch_bit_residences(
     params,
     levels: np.ndarray,
@@ -553,15 +584,22 @@ def batch_bit_residences(
         x2[:] = u2
 
     def kernel_steps(lev, a, b, count_from, count_to, k):
+        if keep is not None:
+            lev = lev[keep]
+        n = len(lev)
         lib.seg(
-            n_tr, a, b, n_steps, _CHECK_INTERVAL, z0, shared.omega, h,
-            w.ctypes, bias.ctypes, famp.ctypes, lev.ctypes, x1.ctypes,
-            x2.ctypes, alive.ctypes, bound, pcg.ctypes if seeds else None,
-            stream.ctypes, scale.ctypes, count_from, count_to, len(indicators),
-            *(c.ctypes for c in rules), res.ctypes, n_bits, max(k, 0),
+            n, a, b, n_steps, _CHECK_INTERVAL, z0, shared.omega, h, w.ctypes,
+            *(c.ctypes for c in (k_bias, k_famp, lev, k_x1, k_x2, k_alive)),
+            bound, pcg.ctypes if seeds else None, k_stream.ctypes,
+            k_scale.ctypes, count_from, count_to, len(indicators),
+            *(c.ctypes for c in rules), k_res.ctypes, n_bits, max(k, 0),
+            _WORKERS if n * (b - a) >= _THREAD_MIN else 1,
         )
+        if keep is not None:
+            np.take(k_x1, inverse, out=x1)
+            np.take(k_x2, inverse, out=x2)
 
-    lib = None
+    lib = keep = None
     if all(type(q) is Indicator for q in indicators):
         lib = _noise_kernel() if seeds else _kernel()
     if lib is None:
@@ -583,6 +621,15 @@ def batch_bit_residences(
         stream = np.full(n_tr, -1, dtype=np.int64)
         stream[noisy] = np.arange(len(noisy))
         rules = _rule_columns(indicators)
+        # the rows the kernel steps: a quiet row that repeats one steps
+        # once, and takes its state after every segment, so the window
+        # ends below decode every row
+        keep, inverse = _distinct_rows(bias, famp, noise_d, levels)
+        k_cols = [bias, famp, scale, stream, x1, x2, alive, res]
+        if keep is not None:
+            k_cols = [c[keep] for c in k_cols[:-1]]
+            k_cols.append(np.zeros((len(indicators), len(keep), n_bits)))
+        k_bias, k_famp, k_scale, k_stream, k_x1, k_x2, k_alive, k_res = k_cols
 
     with np.errstate(over="ignore", invalid="ignore"):
         # segment -1 is the transient, which is never counted
@@ -596,6 +643,9 @@ def batch_bit_residences(
             if k >= 0:
                 for q, indicator in enumerate(indicators):
                     res[q, :, k] += indicator(x1, x2)
+    if keep is not None:
+        alive = k_alive[inverse]
+        res += k_res[:, inverse]
 
     return BatchResult(
         residences=[r / kept for r in res],

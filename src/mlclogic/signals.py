@@ -27,6 +27,15 @@ DEFAULT_TRANSIENT = 495.5
 
 COMBINER_ARITY = {"SUM2": 2, "DIFF2": 2, "SUM3": 3}
 
+# The compiled kernel counts steps in signed 64-bit integers.
+MAX_STEPS = 2**63 - 1
+
+
+def check_steps(name: str, n: int) -> None:
+    """Raise ConfigError when step count n does not fit MAX_STEPS."""
+    if n > MAX_STEPS:
+        raise ConfigError(f"{name} needs {n:.4g} steps, more than 2**63 - 1")
+
 
 def grid_steps(duration: float, dt: float, name: str, minimum: int = 0) -> int:
     """Number of dt steps in duration, which must be a finite whole
@@ -35,6 +44,7 @@ def grid_steps(duration: float, dt: float, name: str, minimum: int = 0) -> int:
     steps = duration / dt
     check_finite(f"{name}/dt", steps)
     n = round(steps)
+    check_steps(name, n)
     if n < minimum or abs(n * dt - duration) > 1e-9:
         raise ConfigError(
             f"{name}={duration} is not a multiple of dt={dt} "
@@ -51,6 +61,7 @@ def bit_starts(
     starts[k+1] - 1, so its samples are the states after those steps."""
     start = grid_steps(transient, dt, "transient")
     spb = grid_steps(bit_duration, dt, "bit_duration", minimum=1)
+    check_steps("the program", start + n_bits * spb)
     return [start + k * spb for k in range(n_bits + 1)]
 
 

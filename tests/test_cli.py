@@ -147,6 +147,19 @@ class TestLatch:
         )
         assert code == 2
 
+    def test_step_count_past_an_array_exits_two(self, tmp_path, capsys):
+        # 1e308 steps of dt 1 is finite, but no array can hold the run
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"bit_duration": 1e308}))
+        code = run(
+            [
+                "latch", "--config", cfg, "--dt", 1, "--transient", 0,
+                "--n-bits", 1, "--out", tmp_path / "o",
+            ]
+        )
+        assert code == 2
+        assert "2**63 - 1" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_report_files(self, tmp_path):
@@ -190,6 +203,20 @@ class TestSweep:
             err = capsys.readouterr().err
         # the last span overflows: the message names the flags, not a nan
         assert "--from" in err and "nan" not in err
+
+    def test_step_count_past_int64_exits_two(self, tmp_path, capsys):
+        # 1e19 steps of dt 0.01: a wrapped count would run zero steps
+        code = run(
+            [
+                "sweep", "--gate", "OR", "--axis", "noise", "--from", 0,
+                "--to", 0.001, "--points", 2, "--sets", 1, "--runs", 1,
+                "--bits-per-run", 1, "--transient", 0,
+                "--bit-duration", "1e17", "--out", tmp_path / "o",
+            ]
+        )
+        assert code == 2
+        assert "2**63 - 1" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "report.csv").exists()
 
     @pytest.mark.parametrize(
         "grid, message",

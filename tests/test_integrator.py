@@ -1,5 +1,6 @@
 """Integrator mechanics: grids, sampling, divergence, noise, batching."""
 
+import os
 import platform
 
 import numpy as np
@@ -658,7 +659,11 @@ class TestBackendParity:
             and platform.libc_ver()[0] == "glibc"
         )
         expected = "avx2" if cloned and "avx2" in flags else "default"
-        assert integrator.backend() == f"C kernel ({expected})"
+        # one worker per usable core, at most 8
+        workers = min(len(os.sched_getaffinity(0)), 8)
+        noun = "worker" if workers == 1 else "workers"
+        want = f"C kernel ({expected}, {workers} {noun})"
+        assert integrator.backend() == want
 
     def test_build_flags_keep_ieee_arithmetic(self):
         # bit identity needs nothing fused or reordered, and the cached
@@ -693,9 +698,12 @@ class TestBackendParity:
         bin_dir = tmp_path / "bin"
         bin_dir.mkdir()
         if cc == "failing":
-            # a cc that writes part of its output, then fails
+            # a cc that writes part of its output file, then fails
             fake = bin_dir / "cc"
-            fake.write_text('#!/bin/sh\necho partial > "$6"\nexit 1\n')
+            fake.write_text(
+                '#!/bin/sh\nwhile [ "$1" != -o ]; do shift; done\n'
+                'echo partial > "$2"\nexit 1\n'
+            )
             fake.chmod(0o755)
         cache = tmp_path / "cache"
         monkeypatch.setenv("PATH", str(bin_dir))
@@ -856,3 +864,152 @@ class TestKernelNormals:
         reason = integrator.backend()
         assert reason.startswith("numpy: cc exited ")
         assert "the noise draws need unsigned __int128" in reason
+
+
+
+def worker_batch(width):
+    """A batch of `width` rows: quiet and noisy rows mixed, every fifth
+    row pushed past the bound (quiet and noisy by turns), and quiet
+    rows that repeat one another every 15 rows."""
+    rows = [
+        [
+            gate_params("OR"),
+            gate_params("OR", noise_d=0.003),
+            gate_params("OR", f=0.16),
+            gate_params("OR", noise_d=0.003),
+            CircuitParams(bias=5.0, noise_d=0.01 * (t // 5 % 2)),
+        ][t % 5]
+        for t in range(width)
+    ]
+    levels = np.array(
+        [[0.4 * ((t + b) % 3 - 1) for b in range(2)] for t in range(width)]
+    )
+    return batch_bit_residences(
+        rows,
+        levels,
+        bit_duration=2.0,
+        transient=1.0,
+        config=IntegratorConfig(divergence_bound=3.0),
+        indicators=EVERY_RULE,
+        noise_seeds=[derive_seed(6, "noise", t) for t in range(width)],
+    )
+
+
+def on_workers(monkeypatch, workers, run):
+    """run() with the kernel stepping every segment on `workers` threads."""
+    with monkeypatch.context() as m:
+        m.setattr(integrator, "_WORKERS", workers)
+        m.setattr(integrator, "_THREAD_MIN", 0)
+        return run()
+
+
+def seg_outputs(lib, width, noisy, workers):
+    """Every array `seg` writes, as bytes, after 300 steps of `width`
+    rows from a call on `workers` threads: odd rows noisy when `noisy`,
+    every fifth row pushed past the bound, and every seventh flagged
+    before the call."""
+    p = gate_params("OR")
+    t = np.arange(width)
+    bias = np.where(t % 5 == 4, 5.0, p.bias)
+    famp = np.full(width, p.f)
+    level = 0.4 * (t % 3 - 1.0)
+    x1 = np.full(width, 0.1)
+    x2 = np.full(width, 0.1)
+    alive = t % 7 != 6
+    drawing = t[t % 2 == 1] if noisy else t[:0]
+    stream = np.full(width, -1, dtype=np.int64)
+    stream[drawing] = np.arange(len(drawing))
+    scale = np.where(stream >= 0, np.sqrt(0.003 * 0.01), 0.0)
+    pcg = np.array(
+        [integrator._pcg_words(np.random.PCG64(int(s))) for s in drawing],
+        dtype=np.uint64,
+    )
+    rules = integrator._rule_columns(EVERY_RULE)
+    res = np.zeros((len(EVERY_RULE), width, 2))
+    lib.seg(
+        width, 0, 300, 300, 50, 0.0, p.omega, 0.01,
+        integrator._weights(p).ctypes,
+        *(c.ctypes for c in (bias, famp, level, x1, x2, alive)), 3.0,
+        pcg.ctypes if len(drawing) else None, stream.ctypes, scale.ctypes,
+        100, 300, len(EVERY_RULE), *(c.ctypes for c in rules), res.ctypes,
+        2, 1, workers,
+    )
+    return [a.tobytes() for a in (x1, x2, alive, pcg, res)]
+
+
+def kernel_or_skip():
+    lib = integrator._kernel()
+    if lib is None:
+        pytest.skip(integrator.backend())
+    return lib
+
+
+WORKER_WIDTHS = [*range(1, 18), 33, 257]
+
+
+class TestWorkers:
+    """A kernel batch returns the same bits on any number of threads,
+    and a quiet row that repeats another returns that row's result."""
+
+    @pytest.mark.parametrize("width", WORKER_WIDTHS)
+    def test_batch_on_one_two_and_three_workers(self, monkeypatch, width):
+        if integrator._kernel() is None:
+            pytest.skip(integrator.backend())
+        one, two, three = (
+            on_workers(monkeypatch, n, lambda: worker_batch(width))
+            for n in (1, 2, 3)
+        )
+        assert_same_batch(one, two)
+        assert_same_batch(one, three)
+        assert one.diverged.tolist() == [t % 5 == 4 for t in range(width)]
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    @pytest.mark.parametrize("width", WORKER_WIDTHS)
+    def test_seg_carries_the_same_state(self, width, noisy):
+        lib = kernel_or_skip()
+        one = seg_outputs(lib, width, noisy, 1)
+        assert seg_outputs(lib, width, noisy, 2) == one
+        assert seg_outputs(lib, width, noisy, 3) == one
+        # every noisy row drew, every fifth row left the bound, and
+        # rows flagged before stayed flagged
+        start = [
+            integrator._pcg_words(np.random.PCG64(s))
+            for s in range(1, width, 2)
+        ]
+        if noisy and width > 1:
+            words = np.frombuffer(one[3], dtype=np.uint64).reshape(-1, 4)
+            assert all(a != b for a, b in zip(words.tolist(), start))
+        flagged = {*range(4, width, 5), *range(6, width, 7)}
+        assert one[2].count(0) == len(flagged)
+
+    def test_more_workers_than_rows(self):
+        lib = kernel_or_skip()
+        assert seg_outputs(lib, 2, True, 8) == seg_outputs(lib, 2, True, 1)
+        assert seg_outputs(lib, 3, True, 100) == seg_outputs(lib, 3, True, 1)
+
+    def test_duplicates_match_the_numpy_loops(self, monkeypatch):
+        kernel, fallback = on_both_backends(
+            monkeypatch,
+            lambda: on_workers(monkeypatch, 2, lambda: worker_batch(33)),
+        )
+        assert_same_batch(kernel, fallback)
+        # rows 0, 15 and 30 repeat one another, as do 2, 17 and 32
+        assert kernel.x2[0] == kernel.x2[15] == kernel.x2[30]
+        assert kernel.x2[2] == kernel.x2[17] == kernel.x2[32]
+
+    def test_quiet_repeats_step_once(self):
+        rows = [gate_params("OR", noise_d=d) for d in (0, 0.1, 0, 0, 0.1, 0)]
+        bias, famp, noise_d = (
+            np.array([getattr(p, k) for p in rows])
+            for k in ("bias", "f", "noise_d")
+        )
+        levels = np.array([[0.2], [0.2], [0.2], [-0.2], [0.2], [0.2]])
+        keep, inverse = integrator._distinct_rows(
+            bias, famp, noise_d, levels
+        )
+        # noisy rows 1 and 4 never merge; quiet rows 2 and 5 repeat 0
+        assert keep.tolist() == [0, 1, 3, 4]
+        assert inverse.tolist() == [0, 1, 0, 2, 3, 0]
+        assert integrator._distinct_rows(
+            bias[:2], famp[:2], noise_d[:2], levels[:2]
+        ) == (None, None)

@@ -17,7 +17,7 @@ from mlclogic import (
     random_program,
     read_program_csv,
 )
-from mlclogic.signals import bit_starts
+from mlclogic.signals import bit_starts, grid_steps
 
 BITS = st.integers(min_value=0, max_value=1)
 
@@ -59,6 +59,18 @@ class TestBitStarts:
         ):
             with pytest.raises(ConfigError):
                 bit_starts(transient, bit_duration, 0.01, 2)
+
+    def test_step_counts_fit_the_kernel(self):
+        # 2**62 steps fit a signed 64-bit step index, 2**63 do not
+        assert grid_steps(2.0**62, 1.0, "t") == 2**62
+        assert bit_starts(0.0, 2.0**61, 1.0, 2)[-1] == 2**62
+        with pytest.raises(ConfigError, match="2\\*\\*63 - 1"):
+            grid_steps(2.0**63, 1.0, "t")
+        # each bit fits, but the program's end step does not
+        with pytest.raises(ConfigError, match="the program"):
+            bit_starts(0.0, 2.0**62, 1.0, 2)
+        with pytest.raises(ConfigError, match="transient"):
+            bit_starts(1e17, 2.0, 0.01, 1)
 
 
 class TestEncoding:

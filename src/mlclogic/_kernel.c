@@ -236,11 +236,11 @@ static void *steps(void *arg)
     return NULL;
 }
 
-/* A block's private state: 64-byte aligned, so no two blocks share a
-   cache line. */
 #define LINE 64
 #define MAX_WORKERS 8
 
+/* The bytes of the private state of a block of n rows and nq
+   indicators, in whole cache lines, so that no two blocks share one. */
 static size_t private_bytes(int64_t n, int64_t nq)
 {
     size_t bytes = (size_t)n * (8 * (7 + (size_t)nq) + 1);

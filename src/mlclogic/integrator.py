@@ -82,7 +82,12 @@ _SCALAR_CHUNK = 1 << 16
 # _THREAD_MIN runs on one. On a 2-vCPU host, in sustained 2 s runs, two
 # threads ran 0.94-1.12x one at 32,000 trial-steps per segment,
 # 0.97-1.28x at 64,000 and 1.11-1.86x from 128,000 up.
-_WORKERS = min(len(os.sched_getaffinity(0)), 8)
+_WORKERS = min(
+    len(os.sched_getaffinity(0))
+    if hasattr(os, "sched_getaffinity")
+    else os.cpu_count() or 1,
+    8,
+)
 _THREAD_MIN = 1 << 16
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
